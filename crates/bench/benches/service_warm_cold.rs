@@ -40,13 +40,11 @@ fn graph_file() -> PathBuf {
 }
 
 fn solve_spec(cache: &GraphCache, name: &str) -> JobSpec {
-    JobSpec::Solve {
+    JobSpec {
         entry: cache.get(name).expect("graph cached"),
-        k: K,
-        preset: "kdc".to_string(),
-        limit: Some(Duration::from_secs(60)),
-        nodes: None,
-        threads: 1,
+        query: Query::Solve { k: K },
+        budget: Budget::default().with_time_limit(Duration::from_secs(60)),
+        options: Options::default(),
         observer: None,
         trace: None,
     }

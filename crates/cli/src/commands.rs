@@ -680,8 +680,7 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("kdc_cli_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = kdc_graph::io::fresh_temp_dir("cli_tests");
         dir.join(name).to_string_lossy().into_owned()
     }
 

@@ -293,6 +293,20 @@ pub fn write_dimacs(g: &Graph, path: &Path) -> Result<(), IoError> {
     Ok(())
 }
 
+/// A freshly created temp directory named after `tag`, the process id and
+/// a per-process call counter, so tests that write fixture files never
+/// share a path with a concurrently running test (in this process or
+/// another). Test support only; panics if the directory cannot be made.
+#[doc(hidden)]
+pub fn fresh_temp_dir(tag: &str) -> std::path::PathBuf {
+    static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("kdc_{tag}_{}_{call}", std::process::id()));
+    fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| panic!("cannot create temp dir {}: {e}", dir.display()));
+    dir
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,8 +395,7 @@ mod tests {
 
     #[test]
     fn metis_file_roundtrip() {
-        let dir = std::env::temp_dir().join("kdc_io_tests");
-        fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_temp_dir("io_tests");
         let g = crate::gen::gnp(30, 0.2, &mut crate::gen::seeded_rng(5));
         let p = dir.join("g.graph");
         write_metis(&g, &p).unwrap();
@@ -391,8 +404,7 @@ mod tests {
 
     #[test]
     fn file_roundtrips() {
-        let dir = std::env::temp_dir().join("kdc_io_tests");
-        fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_temp_dir("io_tests");
         let g = crate::gen::complete(5);
 
         let p1 = dir.join("k5.txt");

@@ -123,8 +123,7 @@ proptest! {
     #[test]
     fn io_roundtrip_any_graph(n in 1usize..40, p in 0.0f64..0.6, seed in 0u64..1000) {
         let g = gen::gnp(n, p, &mut gen::seeded_rng(seed));
-        let dir = std::env::temp_dir().join("kdc_graph_proptests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = io::fresh_temp_dir("graph_proptests");
         let salt = format!("{n}-{seed}");
         for ext in ["clq", "graph", "txt"] {
             let path = dir.join(format!("g-{salt}.{ext}"));

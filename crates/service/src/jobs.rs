@@ -1,12 +1,15 @@
 //! Job queue and fixed worker pool.
 //!
-//! Connection threads [`JobQueue::submit`] work and block in
-//! [`JobQueue::wait`]; a fixed set of worker threads pops jobs FIFO and runs
-//! them through the resident [`kdc_api::Session`] of the cached graph — the
-//! same typed query surface the CLI and embedders use, so the daemon serves
-//! exactly the measured path. All coordination is one `Mutex` around the
-//! queue state plus two `Condvar`s (`work_ready` wakes idle workers,
-//! `job_done` wakes waiters), so the pool is std-only.
+//! A job is one [`JobSpec`]: a cached graph, a typed [`kdc_api::Query`],
+//! its [`kdc_api::Budget`] and validated [`kdc_api::Options`], plus an
+//! optional observer and tracer. Connection threads [`JobQueue::submit`]
+//! jobs and block in [`JobQueue::wait`]; a fixed set of worker threads pops
+//! them FIFO and runs them through the resident [`kdc_api::Session`] of the
+//! cached graph ([`run_job`]) — the same typed query surface the CLI and
+//! embedders use, so the daemon serves exactly the measured path. All
+//! coordination is one `Mutex` around the queue state plus two `Condvar`s
+//! (`work_ready` wakes idle workers, `job_done` wakes waiters), so the pool
+//! is std-only.
 //!
 //! Cancellation is cooperative: every job owns a [`CancelFlag`] that is
 //! threaded into the session budget, and `CANCEL <id>` simply raises it —
@@ -16,133 +19,57 @@
 use crate::cache::GraphEntry;
 use crate::sync::{rank, TrackedMutex};
 use kdc::{CancelFlag, Status};
-use kdc_api::{BatchOutcome, Budget, Observer, Options, Outcome, Query, SubQuery};
+use kdc_api::{BatchOutcome, Budget, Observer, Options, Outcome, Query};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
-/// A Debug-opaque observer handle, so [`JobSpec`] stays derive-Debuggable
-/// while a verbose job streams [`kdc_api::Event`]s back to its connection.
+/// One unit of work: a typed [`kdc_api::Query`] against a cached graph,
+/// with everything [`kdc_api::Session`] needs to run it. The protocol edge
+/// validates `options` (so a bad preset never reaches a worker) and fills
+/// `budget` with the request's limits and threads; the queue attaches the
+/// job's cancel flag when a worker picks it up.
 #[derive(Clone)]
-pub struct JobObserver(pub Arc<dyn Observer>);
-
-impl std::fmt::Debug for JobObserver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("JobObserver(..)")
-    }
-}
-
-/// What a job should run.
-#[derive(Clone, Debug)]
-pub enum JobSpec {
-    /// An exact maximum k-defective clique solve.
-    Solve {
-        /// Cached graph to solve on.
-        entry: Arc<GraphEntry>,
-        /// The k of the k-defective clique.
-        k: usize,
-        /// Preset name (`"kdc"`, `"kdc_t"`, `"kdclub"`, `"kdbb"`, `"madec"`).
-        preset: String,
-        /// Per-job wall-clock deadline.
-        limit: Option<Duration>,
-        /// Per-job branch-and-bound node limit.
-        nodes: Option<u64>,
-        /// 1 = sequential solver, otherwise parallel ego decomposition
-        /// (0 = all cores).
-        threads: usize,
-        /// Event stream for `SOLVE verbose=1` connections.
-        observer: Option<JobObserver>,
-        /// Phase-span recorder for the `TRACE <id>` verb and the slow-query
-        /// log; the queue keeps a clone on the job record.
-        trace: Option<kdc_obs::Tracer>,
-    },
-    /// A batched k-sweep (`MSOLVE`): one job answering `k_lo..=k_hi` as a
-    /// planned [`kdc_api::BatchPlan`] sweep with shared seeds/bounds. One
-    /// `CANCEL` aborts the whole sweep; a draining shutdown lets all of it
-    /// finish.
-    Batch {
-        /// Cached graph to sweep on.
-        entry: Arc<GraphEntry>,
-        /// First k of the inclusive sweep.
-        k_lo: usize,
-        /// Last k of the inclusive sweep.
-        k_hi: usize,
-        /// When set, each sub-query enumerates a top-`r` pool.
-        r: Option<usize>,
-        /// Preset name shared by every sub-query.
-        preset: String,
-        /// Batch-wide wall-clock deadline.
-        limit: Option<Duration>,
-        /// Per-sub-query branch-and-bound node limit.
-        nodes: Option<u64>,
-        /// Solver threads per sub-solve (same semantics as `Solve`).
-        threads: usize,
-        /// Event stream carrying the per-sub-query
-        /// [`kdc_api::Event::SubDone`] completions (`RESULT` lines).
-        observer: Option<JobObserver>,
-        /// Phase-span recorder, as for `Solve`.
-        trace: Option<kdc_obs::Tracer>,
-    },
-    /// Top-r maximal k-defective clique enumeration.
-    Enumerate {
-        /// Cached graph to enumerate on.
-        entry: Arc<GraphEntry>,
-        /// The k of the k-defective clique.
-        k: usize,
-        /// Pool size r.
-        top: usize,
-    },
-    /// Exact per-size counting of k-defective cliques.
-    Count {
-        /// Cached graph to count on.
-        entry: Arc<GraphEntry>,
-        /// The k of the k-defective clique.
-        k: usize,
-        /// Smallest size to count.
-        min_size: usize,
-    },
+pub struct JobSpec {
+    /// Cached graph to run on.
+    pub entry: Arc<GraphEntry>,
+    /// What to compute. A [`Query::Batch`] runs as one job: one `CANCEL`
+    /// aborts the whole sweep and a draining shutdown lets all of it finish.
+    pub query: Query,
+    /// Time/node limits and solver threads (a batch's time limit covers the
+    /// whole sweep, its node limit each sub-query).
+    pub budget: Budget,
+    /// Validated algorithm options (preset).
+    pub options: Options,
+    /// Event stream back to the submitting connection (`EVENT` lines for
+    /// `SOLVE verbose=1`, `RESULT` lines for `MSOLVE`).
+    pub observer: Option<Arc<dyn Observer>>,
+    /// Phase-span recorder for the `TRACE <id>` verb and the slow-query
+    /// log; the queue keeps a clone on the job record.
+    pub trace: Option<kdc_obs::Tracer>,
 }
 
 impl JobSpec {
-    /// The job's tracer, if one was attached (`Solve`/`Batch` only).
-    fn trace(&self) -> Option<kdc_obs::Tracer> {
-        match self {
-            JobSpec::Solve { trace, .. } | JobSpec::Batch { trace, .. } => trace.clone(),
-            _ => None,
-        }
-    }
-
     /// Whether the job carries its own deadline or node budget. Jobs that
     /// don't are the watchdog's prey: nothing else bounds them.
     fn has_deadline(&self) -> bool {
-        match self {
-            JobSpec::Solve { limit, nodes, .. } | JobSpec::Batch { limit, nodes, .. } => {
-                limit.is_some() || nodes.is_some()
-            }
-            JobSpec::Enumerate { .. } | JobSpec::Count { .. } => false,
-        }
+        self.budget.time_limit.is_some() || self.budget.node_limit.is_some()
     }
+}
 
-    /// Compact single-token description for `JOBS` listings.
-    fn describe(&self) -> String {
-        match self {
-            JobSpec::Solve {
-                entry, k, preset, ..
-            } => format!("solve({},k={k},preset={preset})", entry.name),
-            JobSpec::Batch {
-                entry,
-                k_lo,
-                k_hi,
-                preset,
-                ..
-            } => format!("batch({},k={k_lo}..{k_hi},preset={preset})", entry.name),
-            JobSpec::Enumerate { entry, k, top } => {
-                format!("enumerate({},k={k},top={top})", entry.name)
-            }
-            JobSpec::Count { entry, k, min_size } => {
-                format!("count({},k={k},min={min_size})", entry.name)
-            }
+/// Compact single-token description of a query job for `JOBS` listings and
+/// the slow-query log, e.g. `solve(g1,k=2,preset=kdc)`.
+pub(crate) fn describe(graph: &str, query: &Query, preset: &str) -> String {
+    match query {
+        Query::Solve { k } => format!("solve({graph},k={k},preset={preset})"),
+        Query::Batch(subs) => {
+            let lo = subs.iter().map(|s| s.k).min().unwrap_or(0);
+            let hi = subs.iter().map(|s| s.k).max().unwrap_or(0);
+            format!("batch({graph},k={lo}..{hi},preset={preset})")
         }
+        Query::TopR { k, r, .. } => format!("enumerate({graph},k={k},top={r})"),
+        Query::Enumerate { k } => format!("enumerate({graph},k={k})"),
+        Query::Count { k, min_size } => format!("count({graph},k={k},min={min_size})"),
     }
 }
 
@@ -157,7 +84,7 @@ pub enum JobState {
     Done,
     /// Cancelled before or during execution.
     Cancelled,
-    /// The job itself failed (e.g. unknown preset).
+    /// The job itself failed (e.g. a batch the planner rejects).
     Failed,
 }
 
@@ -336,14 +263,14 @@ impl JobQueue {
                 } else {
                     JobState::Queued
                 },
-                description: spec.describe(),
+                description: describe(&spec.entry.name, &spec.query, spec.options.preset_name()),
                 cancel: CancelFlag::new(),
                 outcome: shutting_down
                     .then(|| JobOutcome::Error("server shutting down".to_string())),
                 submitted: now,
                 started: None,
                 finished: shutting_down.then_some(now),
-                trace: spec.trace(),
+                trace: spec.trace.clone(),
                 has_deadline: spec.has_deadline(),
                 watchdog_fired: false,
             },
@@ -446,16 +373,21 @@ impl JobQueue {
             .collect()
     }
 
-    /// The tracer attached to job `id`, if the job carried one (solves
-    /// submitted over the daemon protocol do).
+    /// Number of jobs ever submitted (the length of [`JobQueue::list`],
+    /// without building its rows).
+    pub fn job_count(&self) -> usize {
+        self.state.lock().history.len()
+    }
+
+    /// The tracer attached to job `id`, if the job carried one (`SOLVE` and
+    /// `MSOLVE` jobs submitted over the daemon protocol do).
     pub fn trace(&self, id: u64) -> Result<kdc_obs::Tracer, String> {
         let state = self.state.lock();
         match state.records.get(&id) {
             None => Err(format!("unknown job {id}")),
-            Some(record) => record
-                .trace
-                .clone()
-                .ok_or_else(|| format!("job {id} has no trace (only solves are traced)")),
+            Some(record) => record.trace.clone().ok_or_else(|| {
+                format!("job {id} has no trace (only SOLVE and MSOLVE jobs are traced)")
+            }),
         }
     }
 
@@ -615,105 +547,23 @@ fn with_solve_node_faults(
 
 /// Executes one job spec with the given cancel flag; a pure dispatch onto
 /// the entry's [`kdc_api::Session`], so it is unit-testable without a pool.
+/// A batch goes through [`kdc_api::Session::run_batch_observed`] rather
+/// than the folded `run_observed` surface, so its per-sub-query outcomes
+/// and shared-work counters survive into [`JobOutcome::Batch`].
 pub fn run_job(spec: &JobSpec, cancel: CancelFlag) -> JobOutcome {
-    let trace = spec.trace();
-    let fault_cancel = cancel.clone();
-    let (entry, query, budget, options, observer) = match spec {
-        JobSpec::Solve {
-            entry,
-            k,
-            preset,
-            limit,
-            nodes,
-            threads,
-            observer,
-            ..
-        } => {
-            let options = match Options::preset(preset) {
-                Ok(options) => options,
-                Err(e) => return JobOutcome::Error(e),
-            };
-            let mut budget = Budget::default().with_threads(*threads).with_cancel(cancel);
-            budget.time_limit = *limit;
-            budget.node_limit = *nodes;
-            (
-                entry,
-                Query::Solve { k: *k },
-                budget,
-                options,
-                observer.as_ref().map(|o| o.0.clone()),
-            )
-        }
-        // A batch is dispatched through `Session::run_batch_observed`
-        // directly — not the folded `Query::Batch` surface — so the
-        // per-sub-query outcomes and shared-work counters survive into the
-        // `JobOutcome::Batch` the MSOLVE handler reports.
-        JobSpec::Batch {
-            entry,
-            k_lo,
-            k_hi,
-            r,
-            preset,
-            limit,
-            nodes,
-            threads,
-            observer,
-            ..
-        } => {
-            let options = match Options::preset(preset) {
-                Ok(options) => options,
-                Err(e) => return JobOutcome::Error(e),
-            };
-            let mut budget = Budget::default().with_threads(*threads).with_cancel(cancel);
-            budget.time_limit = *limit;
-            budget.node_limit = *nodes;
-            let subs: Vec<SubQuery> = (*k_lo..=*k_hi)
-                .map(|k| SubQuery {
-                    k,
-                    r: *r,
-                    preset: None,
-                })
-                .collect();
-            let observer = observer.as_ref().map(|o| o.0.clone());
-            let observer = with_solve_node_faults(observer, fault_cancel);
-            return match entry
-                .session()
-                .run_batch_observed(&subs, &budget, &options, observer, trace)
-            {
-                Ok(batch) => JobOutcome::Batch(Box::new(batch)),
-                Err(e) => JobOutcome::Error(e),
-            };
-        }
-        JobSpec::Enumerate { entry, k, top } => (
-            entry,
-            Query::TopR {
-                k: *k,
-                r: *top,
-                diversify: false,
-            },
-            Budget::default().with_cancel(cancel),
-            Options::default(),
-            None,
-        ),
-        JobSpec::Count { entry, k, min_size } => (
-            entry,
-            Query::Count {
-                k: *k,
-                min_size: *min_size,
-            },
-            Budget::default().with_cancel(cancel),
-            Options::default(),
-            None,
-        ),
+    let session = spec.entry.session();
+    let budget = spec.budget.clone().with_cancel(cancel.clone());
+    let observer = with_solve_node_faults(spec.observer.clone(), cancel);
+    let trace = spec.trace.clone();
+    let outcome = match &spec.query {
+        Query::Batch(subs) => session
+            .run_batch_observed(subs, &budget, &spec.options, observer, trace)
+            .map(|batch| JobOutcome::Batch(Box::new(batch))),
+        query => session
+            .run_observed(query, &budget, &spec.options, observer, trace)
+            .map(|outcome| JobOutcome::Done(Box::new(outcome))),
     };
-    let observer = with_solve_node_faults(observer, fault_cancel);
-    match entry
-        .session()
-        .run_observed(&query, &budget, &options, observer, trace)
-    {
-        Ok(outcome) => JobOutcome::Done(Box::new(outcome)),
-        Err(e) => JobOutcome::Error(e),
-    }
+    outcome.unwrap_or_else(JobOutcome::Error)
 }
 
 /// A fixed pool of worker threads draining a shared [`JobQueue`].
@@ -812,16 +662,21 @@ mod tests {
         cache.insert("fig2", named::figure2())
     }
 
-    fn solve_spec(entry: Arc<GraphEntry>, k: usize, preset: &str) -> JobSpec {
-        JobSpec::Solve {
+    fn spec(entry: Arc<GraphEntry>, query: Query) -> JobSpec {
+        JobSpec {
             entry,
-            k,
-            preset: preset.into(),
-            limit: None,
-            nodes: None,
-            threads: 1,
+            query,
+            budget: Budget::default(),
+            options: Options::default(),
             observer: None,
             trace: None,
+        }
+    }
+
+    fn solve_spec(entry: Arc<GraphEntry>, k: usize, preset: &str) -> JobSpec {
+        JobSpec {
+            options: Options::preset(preset).expect("known preset"),
+            ..spec(entry, Query::Solve { k })
         }
     }
 
@@ -930,15 +785,9 @@ mod tests {
         let observer: Arc<dyn kdc_api::Observer> = Arc::new(move |e: &kdc_api::Event| {
             let _ = tx.lock().expect("poisoned").send(*e);
         });
-        let id = queue.submit(JobSpec::Solve {
-            entry,
-            k: 2,
-            preset: "kdc".into(),
-            limit: None,
-            nodes: None,
-            threads: 1,
-            observer: Some(JobObserver(observer)),
-            trace: None,
+        let id = queue.submit(JobSpec {
+            observer: Some(observer),
+            ..solve_spec(entry, 2, "kdc")
         });
         queue.cancel(id).unwrap();
         assert!(
@@ -975,10 +824,14 @@ mod tests {
 
     #[test]
     fn unknown_preset_fails_the_job() {
+        // The job's own options are validated before submission, but a
+        // batch sub-query's preset override is checked only when the batch
+        // is planned: the job must fail, not panic or hang.
         let entry = figure2_entry();
         let queue = Arc::new(JobQueue::new());
         let pool = WorkerPool::new(queue.clone(), 1).expect("spawn pool");
-        let id = queue.submit(solve_spec(entry, 1, "nope"));
+        let subs = vec![kdc_api::SubQuery::solve(1).with_preset("nope")];
+        let id = queue.submit(spec(entry, Query::Batch(subs)));
         assert!(matches!(queue.wait(id), JobOutcome::Error(_)));
         assert_eq!(queue.list()[0].state, JobState::Failed);
         pool.join();
@@ -989,15 +842,9 @@ mod tests {
         let mut rng = gen::seeded_rng(77);
         let cache = GraphCache::new();
         let entry = cache.insert("dense", gen::gnp(80, 0.5, &mut rng));
-        let spec = JobSpec::Solve {
-            entry,
-            k: 6,
-            preset: "kdc_t".into(),
-            limit: None,
-            nodes: Some(1),
-            threads: 1,
-            observer: None,
-            trace: None,
+        let spec = JobSpec {
+            budget: Budget::default().with_node_limit(1),
+            ..solve_spec(entry, 6, "kdc_t")
         };
         let JobOutcome::Done(outcome) = run_job(&spec, CancelFlag::new()) else {
             panic!("expected solve outcome");
@@ -1010,11 +857,14 @@ mod tests {
         let entry = figure2_entry();
         let queue = Arc::new(JobQueue::new());
         let pool = WorkerPool::new(queue.clone(), 1).expect("spawn pool");
-        let id = queue.submit(JobSpec::Enumerate {
+        let id = queue.submit(spec(
             entry,
-            k: 1,
-            top: 2,
-        });
+            Query::TopR {
+                k: 1,
+                r: 2,
+                diversify: false,
+            },
+        ));
         let JobOutcome::Done(outcome) = queue.wait(id) else {
             panic!("expected an enumerate outcome");
         };
@@ -1029,11 +879,7 @@ mod tests {
         let direct = kdc::counting::count_k_defective_cliques(entry.graph(), 1, 5);
         let queue = Arc::new(JobQueue::new());
         let pool = WorkerPool::new(queue.clone(), 1).expect("spawn pool");
-        let id = queue.submit(JobSpec::Count {
-            entry,
-            k: 1,
-            min_size: 5,
-        });
+        let id = queue.submit(spec(entry, Query::Count { k: 1, min_size: 5 }));
         let JobOutcome::Done(outcome) = queue.wait(id) else {
             panic!("expected a count outcome");
         };
@@ -1064,11 +910,7 @@ mod tests {
         let entry = cache.insert("dense", gen::gnp(80, 0.5, &mut rng));
         let queue = Arc::new(JobQueue::new());
         let pool = WorkerPool::new(queue.clone(), 1).expect("spawn pool");
-        let id = queue.submit(JobSpec::Enumerate {
-            entry,
-            k: 2,
-            top: usize::MAX,
-        });
+        let id = queue.submit(spec(entry, Query::Enumerate { k: 2 }));
         loop {
             if queue.list()[0].state != JobState::Queued {
                 break;
@@ -1196,15 +1038,9 @@ mod tests {
     fn watchdog_exempts_jobs_with_their_own_budget() {
         let entry = figure2_entry();
         let queue = Arc::new(JobQueue::new());
-        let spec = JobSpec::Solve {
-            entry,
-            k: 2,
-            preset: "kdc".into(),
-            limit: Some(Duration::from_secs(60)),
-            nodes: None,
-            threads: 1,
-            observer: None,
-            trace: None,
+        let spec = JobSpec {
+            budget: Budget::default().with_time_limit(Duration::from_secs(60)),
+            ..solve_spec(entry, 2, "kdc")
         };
         assert!(spec.has_deadline());
         // No workers: force the record into Running by hand is not possible

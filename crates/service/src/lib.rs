@@ -21,12 +21,17 @@
 //!   assertable, not just observable in timings;
 //! * [`jobs::JobQueue`] / [`jobs::WorkerPool`] — a FIFO queue and a fixed
 //!   `std::thread` pool coordinated by one `Mutex` and two `Condvar`s,
-//!   running typed [`kdc_api::Query`]s through the cached session with
-//!   cooperative cancellation ([`kdc::CancelFlag`]), per-job deadlines and
-//!   node limits ([`kdc_api::Budget`]);
-//! * [`server::Server`] — the accept loop and per-connection handlers,
-//!   including the `SOLVE verbose=1` `EVENT` stream fed by a
-//!   [`kdc_api::Observer`] registered on the job.
+//!   running [`jobs::JobSpec`]s — one struct holding a typed
+//!   [`kdc_api::Query`], its [`kdc_api::Budget`] and validated
+//!   [`kdc_api::Options`] — through the cached session with cooperative
+//!   cancellation ([`kdc::CancelFlag`]), per-job deadlines and node limits;
+//! * [`server::Server`] — the accept loop and per-connection handlers. The
+//!   four query verbs (`SOLVE`, `MSOLVE`, `ENUMERATE`, `COUNT`) parse into
+//!   one [`protocol::Command::Query`] and share one submit → stream → wait
+//!   → journal → reply path; only the streamed-line filter (`EVENT` lines
+//!   for `SOLVE verbose=1`, `RESULT` lines for `MSOLVE`, fed by a
+//!   [`kdc_api::Observer`] on the job) and the final `OK` renderer differ
+//!   per verb.
 //!
 //! ## Threading model
 //!
@@ -48,9 +53,12 @@
 //!   background thread under [`server::Server::spawn`]) only accepts.
 //! * **One handler thread per connection** parses lines and executes
 //!   commands. Cheap commands (`LOAD`, `STATS`, `JOBS`, …) run inline on
-//!   the handler thread; `SOLVE`/`ENUMERATE` are submitted to the queue and
-//!   the handler blocks in [`jobs::JobQueue::wait`] — so solver concurrency
-//!   is bounded by the worker pool, never by the number of clients.
+//!   the handler thread; each query verb becomes one job on the queue while
+//!   the handler writes its streamed lines and then blocks in
+//!   [`jobs::JobQueue::wait`] — so solver concurrency is bounded by the
+//!   worker pool, never by the number of clients. When the job finishes,
+//!   the handler journals what it newly proved (see below) and only then
+//!   writes the reply.
 //! * **N worker threads** (fixed at startup) pop jobs FIFO. A job's
 //!   [`kdc::CancelFlag`] is raised by `CANCEL <id>` from *any* connection;
 //!   the engine notices at its next branch-and-bound node and returns the
@@ -92,11 +100,14 @@
 //!   read verbs (`SOLVE`/`STATS`/`METRICS`), with decorrelated-jitter
 //!   backoff.
 //! * **Durable session state** ([`persist`], `kdc serve --state-dir`) —
-//!   every newly proven outcome is journaled to a crash-safe
-//!   snapshot/journal store (the `kdc_store` crate: CRC-framed records,
-//!   atomic tmp-write + rename compaction); a killed daemon restarts
-//!   warm, revalidating each recovered graph against its source file's
-//!   content hash and answering recovered queries `cached=true`.
+//!   every newly proven maximum solve (a `SOLVE`, or each solve sub-query
+//!   of an `MSOLVE`, that ended optimal without a memo hit) is journaled
+//!   to a crash-safe snapshot/journal store (the `kdc_store` crate:
+//!   CRC-framed records, atomic tmp-write + rename compaction) at the one
+//!   job-completion point, before the reply is written — so a reply means
+//!   its proof is durable. A killed daemon restarts warm, revalidating
+//!   each recovered graph against its source file's content hash and
+//!   answering recovered queries `cached=true`.
 //! * **Fault injection** (the `kdc_faults` crate) — named injection points
 //!   (`accept`, `conn_read`, `conn_write`, `job_start`, `solve_node`,
 //!   `cache_insert`, `store_write`, `store_read`) armed via `KDC_FAULTS`
@@ -112,9 +123,7 @@ pub mod server;
 pub mod sync;
 
 pub use cache::{GraphCache, GraphEntry};
-pub use jobs::{
-    JobInfo, JobObserver, JobOutcome, JobQueue, JobSpec, JobState, SubmitError, WorkerPool,
-};
+pub use jobs::{JobInfo, JobOutcome, JobQueue, JobSpec, JobState, SubmitError, WorkerPool};
 pub use persist::{export_graph_state, import_graph_state};
 pub use protocol::{parse_command, Command, ShutdownMode};
 pub use server::{request, request_with_retry, Server, ServerHandle, DEFAULT_SLOW_THRESHOLD};

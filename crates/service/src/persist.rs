@@ -3,15 +3,19 @@
 //!
 //! Armed by `kdc serve --state-dir DIR` (see
 //! [`crate::server::Server::with_state_dir`]), the daemon journals every
-//! *newly proven* outcome — a `SOLVE`/`MSOLVE` that ran a real search and
-//! ended [`kdc::Status::Optimal`] — and periodically folds the journal
-//! into a snapshot. On the next startup the store replays
-//! snapshot + journal, this module revalidates each recovered graph
-//! against its source file's content hash, re-parses it, and feeds the
-//! surviving witnesses and proven-optimal memos back into the fresh
-//! [`kdc_api::Session`] via [`kdc_api::Session::import_state`] — so a
-//! killed daemon restarts warm: recovered queries answer `cached=true`
-//! without re-searching, and recovered witnesses seed new searches.
+//! *newly proven* maximum solve — the outcome of a `SOLVE`, or of each
+//! solve sub-query of an `MSOLVE`, that ran a real search and ended
+//! [`kdc::Status::Optimal`] — through one call, `Persist::record_solve`,
+//! made at the single point where a query job completes, on the handler
+//! thread and before the reply is written. It periodically folds the
+//! journal into a snapshot, and once more at shutdown. On the next
+//! startup the store replays snapshot + journal, this module revalidates
+//! each recovered graph against its source file's content hash, re-parses
+//! it, and feeds the surviving witnesses and proven-optimal memos back
+//! into the fresh [`kdc_api::Session`] via
+//! [`kdc_api::Session::import_state`] — so a killed daemon restarts warm:
+//! recovered queries answer `cached=true` without re-searching, and
+//! recovered witnesses seed new searches.
 //!
 //! Durability is strictly best-effort from the daemon's point of view: a
 //! failed append or compaction is logged to stderr (and counted by the
@@ -22,7 +26,7 @@
 
 use crate::cache::{GraphCache, GraphEntry};
 use kdc::{SearchStats, Solution, Status};
-use kdc_api::{SessionState, SolveKey};
+use kdc_api::{Outcome, SessionState, SolveKey};
 use kdc_graph::VertexId;
 use kdc_store::{GraphState, MemoState, Record, Store};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,20 +101,25 @@ impl Persist {
 
     /// Journals one newly proven solve outcome: the entry's `Graph` meta
     /// record (once per process), the winning witness, and the
-    /// proven-optimal memo row. Compacts when the append cadence says so.
-    /// Entries without file provenance are skipped — there is nothing to
-    /// revalidate against on recovery.
+    /// proven-optimal memo row under `key`. Compacts when the append
+    /// cadence says so. Outcomes that prove nothing new — not optimal, or
+    /// answered by the memo (journaled when first proven, possibly by an
+    /// earlier process) — are skipped, and so are entries without file
+    /// provenance: there is nothing to revalidate against on recovery.
     pub(crate) fn record_solve(
         &self,
         cache: &GraphCache,
         entry: &GraphEntry,
         key: &SolveKey,
-        solution: &Solution,
+        outcome: &Outcome,
     ) {
         let Some((source_path, content_hash)) = entry.source() else {
             return;
         };
-        if solution.status != Status::Optimal || solution.vertices.is_empty() {
+        let Some(vertices) = outcome.best().filter(|vs| !vs.is_empty()) else {
+            return;
+        };
+        if outcome.status != Status::Optimal || outcome.cache.result_memo_hit {
             return;
         }
         let mut due = false;
@@ -121,7 +130,7 @@ impl Persist {
                 content_hash,
             });
         }
-        let ids: Vec<u64> = solution.vertices.iter().map(|&v| u64::from(v)).collect();
+        let ids: Vec<u64> = vertices.iter().map(|&v| u64::from(v)).collect();
         due |= self.append(&Record::Witness {
             graph: entry.name.clone(),
             k: key.k as u64,
@@ -132,40 +141,9 @@ impl Persist {
             k: key.k as u64,
             preset: key.preset.clone(),
             vertices: ids,
-            status: solution.status.as_token().to_string(),
-            stats: solution.stats.encode_compact(),
+            status: outcome.status.as_token().to_string(),
+            stats: outcome.stats.encode_compact(),
         });
-        if due {
-            self.compact_now(cache);
-        }
-    }
-
-    /// Journals a graph's *entire* current session state — the batch
-    /// (`MSOLVE`) path, where one job proves many `(k, preset)` rows at
-    /// once. Replay folds duplicates last-wins, so re-journaling rows that
-    /// were already on disk is harmless.
-    pub(crate) fn record_session(&self, cache: &GraphCache, entry: &GraphEntry) {
-        let Some((source_path, content_hash)) = entry.source() else {
-            return;
-        };
-        let state = entry.session().export_state();
-        if state.witnesses.is_empty() && state.memos.is_empty() {
-            return;
-        }
-        let mut due = false;
-        if entry.claim_meta_journal() {
-            due |= self.append(&Record::Graph {
-                name: entry.name.clone(),
-                source_path: source_path.to_string(),
-                content_hash,
-            });
-        }
-        let gs = export_graph_state(&entry.name, source_path, content_hash, &state);
-        for record in gs.records() {
-            if !matches!(record, Record::Graph { .. }) {
-                due |= self.append(&record);
-            }
-        }
         if due {
             self.compact_now(cache);
         }

@@ -44,8 +44,8 @@
 //! `METRICS` similarly streams the process-global registry in Prometheus
 //! text exposition format, one `METRIC <sample-or-header>` line per
 //! exposition line, terminated by `OK series=<N>`; clients must read until
-//! a non-`METRIC` line. `TRACE <id>` returns a solve job's recorded phase
-//! spans as a single-line chrome://tracing JSON array.
+//! a non-`METRIC` line. `TRACE <id>` returns a `SOLVE` or `MSOLVE` job's
+//! recorded phase spans as a single-line chrome://tracing JSON array.
 //!
 //! Verbs are case-insensitive; `<path>` and `<name>` must be free of
 //! whitespace (and, because `key=value` tokens are options, free of `=`).
@@ -85,6 +85,7 @@
 //! builds answer `ERR` so production daemons cannot be fault-armed over
 //! the wire; the `KDC_FAULTS` environment variable works in any build.
 
+use kdc_api::{Query, SubQuery};
 use std::collections::HashMap;
 use std::fmt::Display;
 use std::time::Duration;
@@ -99,68 +100,37 @@ pub enum Command {
         /// Cache key the graph is stored under.
         name: String,
     },
-    /// `SOLVE <name> k=<K> [preset=..] [limit=..] [nodes=..] [threads=..]
-    /// [verbose=..]`.
-    Solve {
-        /// Cache key of the graph to solve on.
+    /// A typed query run as one job on the worker pool:
+    ///
+    /// * `SOLVE <name> k=<K> [preset=..] [limit=..] [nodes=..] [threads=..]
+    ///   [verbose=..]` — [`Query::Solve`];
+    /// * `MSOLVE <name> k=<LO>..<HI> [r=..] [preset=..] [limit=..]
+    ///   [nodes=..] [threads=..]` — a [`Query::Batch`] k-sweep, streaming
+    ///   `RESULT` lines per sub-query before the final `OK`;
+    /// * `ENUMERATE <name> k=<K> top=<R>` — [`Query::TopR`], the r largest
+    ///   maximal k-defective cliques;
+    /// * `COUNT <name> k=<K> [min=<S>]` — [`Query::Count`], exact per-size
+    ///   counts of k-defective cliques with at least `min` vertices.
+    ///
+    /// Options a verb does not accept keep their defaults.
+    Query {
+        /// Cache key of the graph to run on.
         graph: String,
-        /// The k of the k-defective clique.
-        k: usize,
+        /// What to compute.
+        query: Query,
         /// Solver preset (`kdc` when omitted).
         preset: Option<String>,
-        /// Per-job wall-clock deadline, validated at the protocol edge via
-        /// [`kdc::config::parse_time_limit_arg`].
+        /// Per-job wall-clock deadline (batch-wide for `MSOLVE`), validated
+        /// at the protocol edge via [`kdc::config::parse_time_limit_arg`].
         limit: Option<Duration>,
-        /// Per-job branch-and-bound node limit, validated via
-        /// [`kdc::config::parse_node_limit_arg`].
+        /// Branch-and-bound node limit (per sub-query for `MSOLVE`),
+        /// validated via [`kdc::config::parse_node_limit_arg`].
         nodes: Option<u64>,
         /// Solver threads: 1 = sequential, 0 = all cores, N = N-thread
         /// ego decomposition.
         threads: usize,
-        /// Stream `EVENT` lines while the search runs.
+        /// Stream `EVENT` lines while the search runs (`SOLVE` only).
         verbose: bool,
-    },
-    /// `MSOLVE <name> k=<LO>..<HI> [r=..] [preset=..] [limit=..]
-    /// [nodes=..] [threads=..]` — a batched k-sweep answered as one job,
-    /// streaming `RESULT` lines per sub-query before the final `OK`.
-    MSolve {
-        /// Cache key of the graph to sweep on.
-        graph: String,
-        /// First k of the inclusive sweep.
-        k_lo: usize,
-        /// Last k of the inclusive sweep (`k_lo` for a single-k batch).
-        k_hi: usize,
-        /// When set, each sub-query enumerates a top-`r` pool instead of
-        /// solving for one maximum witness.
-        r: Option<usize>,
-        /// Solver preset (`kdc` when omitted).
-        preset: Option<String>,
-        /// Batch-wide wall-clock deadline (shared by all sub-queries).
-        limit: Option<Duration>,
-        /// Per-sub-query branch-and-bound node limit.
-        nodes: Option<u64>,
-        /// Solver threads per sub-solve (same semantics as `SOLVE`).
-        threads: usize,
-    },
-    /// `ENUMERATE <name> k=<K> top=<R>` — the r largest maximal k-defective
-    /// cliques.
-    Enumerate {
-        /// Cache key of the graph.
-        graph: String,
-        /// The k of the k-defective clique.
-        k: usize,
-        /// Pool size r.
-        top: usize,
-    },
-    /// `COUNT <name> k=<K> [min=<S>]` — exact per-size counts of
-    /// k-defective cliques with at least `min` vertices.
-    Count {
-        /// Cache key of the graph.
-        graph: String,
-        /// The k of the k-defective clique.
-        k: usize,
-        /// Smallest size to count (0 when omitted).
-        min_size: usize,
     },
     /// `STATS [<name>]` — per-graph cache statistics, or server-wide when no
     /// name is given.
@@ -182,7 +152,8 @@ pub enum Command {
     },
     /// `METRICS` — stream the global registry in Prometheus text format.
     Metrics,
-    /// `TRACE <id>` — a solve job's phase spans as chrome://tracing JSON.
+    /// `TRACE <id>` — a `SOLVE` or `MSOLVE` job's phase spans as
+    /// chrome://tracing JSON.
     Trace {
         /// Job id as reported by `JOBS`.
         id: u64,
@@ -284,6 +255,40 @@ fn parse_k_range(raw: &str) -> Result<(usize, usize), String> {
     Ok((lo, hi))
 }
 
+/// Builds a [`Command::Query`] from the verb-specific `query` plus the
+/// shared job options. Hostile limits (negative/NaN/inf/huge/zero-node) are
+/// rejected here — through the same shared parsers the CLI uses — where
+/// they still produce an ERR line. The caller has already rejected options
+/// its verb does not accept, so absent ones simply keep their defaults.
+fn query_command(
+    graph: &str,
+    query: Query,
+    options: &HashMap<String, String>,
+) -> Result<Command, String> {
+    let limit = options
+        .get("limit")
+        .map(|raw| kdc::config::parse_time_limit_arg(raw))
+        .transpose()?;
+    let nodes = options
+        .get("nodes")
+        .map(|raw| kdc::config::parse_node_limit_arg(raw))
+        .transpose()?;
+    let verbose = match parse_option::<u8>(options, "verbose")?.unwrap_or(0) {
+        0 => false,
+        1 => true,
+        other => return Err(format!("verbose= must be 0 or 1 (got {other})")),
+    };
+    Ok(Command::Query {
+        graph: graph.to_string(),
+        query,
+        preset: options.get("preset").cloned(),
+        limit,
+        nodes,
+        threads: parse_option(options, "threads")?.unwrap_or(1),
+        verbose,
+    })
+}
+
 /// Parses one request line into a [`Command`].
 pub fn parse_command(line: &str) -> Result<Command, String> {
     let tokens: Vec<&str> = line.split_whitespace().collect();
@@ -343,31 +348,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                 "SOLVE <name> k=<K> [preset=..] [limit=..] [nodes=..] [threads=..] [verbose=..]",
             )?;
             let k = parse_option::<usize>(&options, "k")?.ok_or("SOLVE requires k=<K>")?;
-            // Hostile limits (negative/NaN/inf/huge/zero-node) are rejected
-            // at the protocol edge — through the same shared parsers the
-            // CLI uses — where they still produce an ERR line.
-            let limit = options
-                .get("limit")
-                .map(|raw| kdc::config::parse_time_limit_arg(raw))
-                .transpose()?;
-            let nodes = options
-                .get("nodes")
-                .map(|raw| kdc::config::parse_node_limit_arg(raw))
-                .transpose()?;
-            let verbose = match parse_option::<u8>(&options, "verbose")?.unwrap_or(0) {
-                0 => false,
-                1 => true,
-                other => return Err(format!("verbose= must be 0 or 1 (got {other})")),
-            };
-            Ok(Command::Solve {
-                graph: positional[0].clone(),
-                k,
-                preset: options.get("preset").cloned(),
-                limit,
-                nodes,
-                threads: parse_option(&options, "threads")?.unwrap_or(1),
-                verbose,
-            })
+            query_command(&positional[0], Query::Solve { k }, &options)
         }
         "MSOLVE" => {
             known_options(&["k", "r", "preset", "limit", "nodes", "threads"])?;
@@ -378,53 +359,36 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             )?;
             let raw = options.get("k").ok_or("MSOLVE requires k=<LO>..<HI>")?;
             let (k_lo, k_hi) = parse_k_range(raw)?;
-            let limit = options
-                .get("limit")
-                .map(|raw| kdc::config::parse_time_limit_arg(raw))
-                .transpose()?;
-            let nodes = options
-                .get("nodes")
-                .map(|raw| kdc::config::parse_node_limit_arg(raw))
-                .transpose()?;
             let r = parse_option::<usize>(&options, "r")?;
             if r == Some(0) {
                 return Err("r= must be positive".to_string());
             }
-            Ok(Command::MSolve {
-                graph: positional[0].clone(),
-                k_lo,
-                k_hi,
-                r,
-                preset: options.get("preset").cloned(),
-                limit,
-                nodes,
-                threads: parse_option(&options, "threads")?.unwrap_or(1),
-            })
+            let subs = (k_lo..=k_hi)
+                .map(|k| SubQuery { k, r, preset: None })
+                .collect();
+            query_command(&positional[0], Query::Batch(subs), &options)
         }
         "ENUMERATE" => {
             known_options(&["k", "top"])?;
             positional_count(1, "ENUMERATE <name> k=<K> top=<R>")?;
             let k = parse_option::<usize>(&options, "k")?.ok_or("ENUMERATE requires k=<K>")?;
-            let top =
-                parse_option::<usize>(&options, "top")?.ok_or("ENUMERATE requires top=<R>")?;
-            if top == 0 {
+            let r = parse_option::<usize>(&options, "top")?.ok_or("ENUMERATE requires top=<R>")?;
+            if r == 0 {
                 return Err("top= must be positive".to_string());
             }
-            Ok(Command::Enumerate {
-                graph: positional[0].clone(),
+            let query = Query::TopR {
                 k,
-                top,
-            })
+                r,
+                diversify: false,
+            };
+            query_command(&positional[0], query, &options)
         }
         "COUNT" => {
             known_options(&["k", "min"])?;
             positional_count(1, "COUNT <name> k=<K> [min=<S>]")?;
             let k = parse_option::<usize>(&options, "k")?.ok_or("COUNT requires k=<K>")?;
-            Ok(Command::Count {
-                graph: positional[0].clone(),
-                k,
-                min_size: parse_option(&options, "min")?.unwrap_or(0),
-            })
+            let min_size = parse_option(&options, "min")?.unwrap_or(0);
+            query_command(&positional[0], Query::Count { k, min_size }, &options)
         }
         "STATS" => {
             known_options(&[])?;
@@ -552,9 +516,9 @@ mod tests {
             .unwrap();
         assert_eq!(
             cmd,
-            Command::Solve {
+            Command::Query {
                 graph: "g1".into(),
-                k: 3,
+                query: Query::Solve { k: 3 },
                 preset: Some("kdbb".into()),
                 limit: Some(Duration::from_secs_f64(2.5)),
                 nodes: Some(500),
@@ -565,9 +529,9 @@ mod tests {
         let minimal = parse_command("SOLVE g1 k=0").unwrap();
         assert_eq!(
             minimal,
-            Command::Solve {
+            Command::Query {
                 graph: "g1".into(),
-                k: 0,
+                query: Query::Solve { k: 0 },
                 preset: None,
                 limit: None,
                 nodes: None,
@@ -583,30 +547,28 @@ mod tests {
             .unwrap();
         assert_eq!(
             cmd,
-            Command::MSolve {
+            Command::Query {
                 graph: "g1".into(),
-                k_lo: 0,
-                k_hi: 4,
-                r: Some(3),
+                query: Query::Batch((0..=4).map(|k| SubQuery::solve(k).with_r(3)).collect()),
                 preset: Some("kdc_t".into()),
                 limit: Some(Duration::from_secs_f64(2.5)),
                 nodes: Some(500),
                 threads: 2,
+                verbose: false,
             }
         );
         // A bare k is a single-entry sweep.
         let single = parse_command("msolve g1 k=3").unwrap();
         assert_eq!(
             single,
-            Command::MSolve {
+            Command::Query {
                 graph: "g1".into(),
-                k_lo: 3,
-                k_hi: 3,
-                r: None,
+                query: Query::Batch(vec![SubQuery::solve(3)]),
                 preset: None,
                 limit: None,
                 nodes: None,
                 threads: 1,
+                verbose: false,
             }
         );
     }
@@ -659,18 +621,26 @@ mod tests {
     fn parses_count() {
         assert_eq!(
             parse_command("COUNT g k=2 min=5").unwrap(),
-            Command::Count {
+            Command::Query {
                 graph: "g".into(),
-                k: 2,
-                min_size: 5
+                query: Query::Count { k: 2, min_size: 5 },
+                preset: None,
+                limit: None,
+                nodes: None,
+                threads: 1,
+                verbose: false,
             }
         );
         assert_eq!(
             parse_command("count g k=0").unwrap(),
-            Command::Count {
+            Command::Query {
                 graph: "g".into(),
-                k: 0,
-                min_size: 0
+                query: Query::Count { k: 0, min_size: 0 },
+                preset: None,
+                limit: None,
+                nodes: None,
+                threads: 1,
+                verbose: false,
             }
         );
         assert!(parse_command("COUNT g").is_err(), "k required");
@@ -714,10 +684,18 @@ mod tests {
     fn parses_enumerate_stats_unload() {
         assert_eq!(
             parse_command("ENUMERATE g k=1 top=5").unwrap(),
-            Command::Enumerate {
+            Command::Query {
                 graph: "g".into(),
-                k: 1,
-                top: 5
+                query: Query::TopR {
+                    k: 1,
+                    r: 5,
+                    diversify: false
+                },
+                preset: None,
+                limit: None,
+                nodes: None,
+                threads: 1,
+                verbose: false,
             }
         );
         assert!(parse_command("ENUMERATE g k=1").is_err(), "top required");

@@ -8,11 +8,11 @@
 //! returns without platform-specific non-blocking machinery.
 
 use crate::cache::GraphCache;
-use crate::jobs::{JobObserver, JobOutcome, JobQueue, JobSpec, SubmitError, WorkerPool};
+use crate::jobs::{describe, JobOutcome, JobQueue, JobSpec, SubmitError, WorkerPool};
 use crate::persist::{Persist, PersistHandle};
 use crate::protocol::{err_line, parse_command, render_vertices, Command, OkLine, ShutdownMode};
 use kdc::Status;
-use kdc_api::{Event, Observer, Options};
+use kdc_api::{Budget, Event, Observer, Options, Outcome, Query, SolveKey};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -36,13 +36,13 @@ struct Daemon {
     /// the pool goes down (checked by `run` after the accept loop exits).
     drain: AtomicBool,
     addr: SocketAddr,
-    /// Slow-query threshold in nanoseconds; solves at or above it are
-    /// logged to stderr with their phase breakdown. `u64::MAX` disables.
+    /// Slow-query threshold in nanoseconds; traced jobs (`SOLVE`, `MSOLVE`)
+    /// at or above it are logged to stderr with their phase breakdown.
+    /// `u64::MAX` disables.
     slow_threshold_ns: AtomicU64,
     /// Max concurrent connections (0 = unlimited).
     max_conns: AtomicUsize,
-    /// Max queued jobs before `SOLVE`/`ENUMERATE`/`COUNT` answer busy
-    /// (0 = unlimited).
+    /// Max queued jobs before the query verbs answer busy (0 = unlimited).
     max_queue: AtomicUsize,
     /// Per-connection idle read/write timeout in ms (0 = none).
     idle_timeout_ms: AtomicU64,
@@ -171,8 +171,9 @@ impl Server {
     }
 
     /// Sets the slow-query threshold (default [`DEFAULT_SLOW_THRESHOLD`]):
-    /// solves whose wall-clock reaches it are logged to stderr with their
-    /// per-phase time breakdown. `Duration::ZERO` logs every solve.
+    /// `SOLVE` and `MSOLVE` jobs whose wall-clock reaches it are logged to
+    /// stderr with their per-phase time breakdown. `Duration::ZERO` logs
+    /// every one.
     pub fn with_slow_threshold(self, threshold: Duration) -> Self {
         let ns = threshold.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.daemon.slow_threshold_ns.store(ns, Ordering::Relaxed);
@@ -181,8 +182,9 @@ impl Server {
 
     /// Admission control: at most `max_conns` concurrent connections (extra
     /// accepts get one `ERR busy active_conns=..` line and are closed) and
-    /// at most `max_queue` queued jobs (extra `SOLVE`/`ENUMERATE`/`COUNT`
-    /// requests get `ERR busy queue_depth=..`). 0 = unlimited (the default).
+    /// at most `max_queue` queued jobs (extra `SOLVE`/`MSOLVE`/`ENUMERATE`/
+    /// `COUNT` requests get `ERR busy queue_depth=..`). 0 = unlimited (the
+    /// default).
     pub fn with_limits(self, max_conns: usize, max_queue: usize) -> Self {
         self.daemon.max_conns.store(max_conns, Ordering::Relaxed);
         self.daemon.max_queue.store(max_queue, Ordering::Relaxed);
@@ -485,8 +487,9 @@ fn status_token(status: Status) -> &'static str {
 }
 
 /// Executes one command; returns the final response line and whether to
-/// shut down. A `SOLVE .. verbose=1` additionally streams `EVENT` lines to
-/// `writer` while the search runs, before the final line is returned.
+/// shut down. Streaming commands (`SOLVE .. verbose=1`, `MSOLVE`,
+/// `METRICS`) write their streamed lines to `writer` before the final line
+/// is returned.
 fn execute(command: Command, daemon: &Daemon, writer: &mut TcpStream) -> (String, bool) {
     let response = match command {
         Command::Load { path, name } => daemon.cache.load(&path, &name).map(|entry| {
@@ -497,52 +500,24 @@ fn execute(command: Command, daemon: &Daemon, writer: &mut TcpStream) -> (String
                 .field("parse_ms", entry.parse_time.as_millis())
                 .render()
         }),
-        Command::Solve {
+        Command::Query {
             graph,
-            k,
+            query,
             preset,
             limit,
             nodes,
             threads,
             verbose,
-        } => solve(
-            daemon,
-            &graph,
-            SolveParams {
-                k,
-                preset,
-                limit,
-                nodes,
+        } => {
+            let budget = Budget {
+                time_limit: limit,
+                node_limit: nodes,
                 threads,
-                verbose,
-            },
-            writer,
-        ),
-        Command::MSolve {
-            graph,
-            k_lo,
-            k_hi,
-            r,
-            preset,
-            limit,
-            nodes,
-            threads,
-        } => msolve(
-            daemon,
-            &graph,
-            MSolveParams {
-                k_lo,
-                k_hi,
-                r,
-                preset,
-                limit,
-                nodes,
-                threads,
-            },
-            writer,
-        ),
-        Command::Enumerate { graph, k, top } => enumerate(daemon, &graph, k, top),
-        Command::Count { graph, k, min_size } => count(daemon, &graph, k, min_size),
+                cancel: None,
+            };
+            let preset = preset.as_deref().unwrap_or("kdc");
+            run_query(daemon, &graph, query, preset, budget, verbose, writer)
+        }
         Command::Stats { graph } => stats(daemon, graph.as_deref()),
         Command::Unload { graph } => {
             if daemon.cache.unload(&graph) {
@@ -669,16 +644,6 @@ fn metrics(writer: &mut TcpStream) -> Result<String, String> {
     Ok(OkLine::new().field("series", series).render())
 }
 
-/// Parameters of one `SOLVE` request (bundled to keep the call sites flat).
-struct SolveParams {
-    k: usize,
-    preset: Option<String>,
-    limit: Option<Duration>,
-    nodes: Option<u64>,
-    threads: usize,
-    verbose: bool,
-}
-
 /// Renders one streamed event as an `EVENT` protocol line.
 fn event_line(event: &Event) -> String {
     match *event {
@@ -687,9 +652,6 @@ fn event_line(event: &Event) -> String {
             format!("EVENT type=retighten removed_v={vertices} removed_e={edges}")
         }
         Event::Restart { universe } => format!("EVENT type=restart universe={universe}"),
-        // Batch sub-query completions get their own streamed prefix (the
-        // MSOLVE handler turns them into `RESULT` lines); as a plain EVENT
-        // they carry the same fields for verbose non-batch observers.
         Event::SubDone {
             index,
             k,
@@ -703,214 +665,44 @@ fn event_line(event: &Event) -> String {
     }
 }
 
-fn solve(
-    daemon: &Daemon,
-    graph: &str,
-    params: SolveParams,
-    writer: &mut TcpStream,
-) -> Result<String, String> {
-    let entry = daemon
-        .cache
-        .get(graph)
-        .ok_or_else(|| format!("no graph named {graph:?} (LOAD it first)"))?;
-    let preset = params.preset.unwrap_or_else(|| "kdc".to_string());
-    // Fail fast on a bad preset instead of burning a worker slot.
-    Options::preset(&preset)?;
-    // verbose=1: the job forwards events into a channel; this handler
-    // drains it onto the connection until the worker drops its sender (job
-    // finished), then falls through to the final response line. mpsc
-    // senders are wrapped in a mutex only to stay `Sync` for the observer.
-    let (observer, events) = if params.verbose {
-        let (tx, rx) = mpsc::channel::<Event>();
-        let tx = Mutex::new(tx);
-        let observer: Arc<dyn Observer> = Arc::new(move |e: &Event| {
-            // A poisoned sender mutex means an earlier event callback
-            // panicked; dropping this event is strictly better than killing
-            // the whole job with a second panic.
-            if let Ok(tx) = tx.lock() {
-                let _ = tx.send(*e);
-            }
-        });
-        (Some(JobObserver(observer)), Some(rx))
-    } else {
-        (None, None)
-    };
-    // Every daemon solve carries a tracer, so `TRACE <id>` works after the
-    // fact and the slow-query log can print a phase breakdown.
-    let trace = kdc_obs::Tracer::new();
-    // A busy refusal drops the spec (and with it the verbose sender), so
-    // the `?` below cannot leave a channel dangling.
-    let id = submit_checked(
-        daemon,
-        JobSpec::Solve {
-            entry: entry.clone(),
-            k: params.k,
-            preset: preset.clone(),
-            limit: params.limit,
-            nodes: params.nodes,
-            threads: params.threads,
-            observer,
-            trace: Some(trace.clone()),
-        },
-    )?;
-    if let Some(rx) = events {
-        while let Ok(event) = rx.recv() {
-            // A dead client cannot be told about it; keep draining so the
-            // job is not blocked on a full channel, skip the writes.
-            let _ = writer
-                .write_all(format!("{}\n", event_line(&event)).as_bytes())
-                .and_then(|()| writer.flush());
-        }
-    }
-    match daemon.queue.wait(id) {
-        JobOutcome::Done(outcome) => {
-            let elapsed_ns = outcome.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-            if elapsed_ns >= daemon.slow_threshold_ns.load(Ordering::Relaxed) {
-                daemon.slow_queries.inc();
-                let phases: Vec<String> = trace
-                    .summary()
-                    .iter()
-                    .map(|p| format!("{}={}ns/{}", p.name, p.total_ns, p.count))
-                    .collect();
-                eprintln!(
-                    "kdc_service slow query: job={id} graph={graph} preset={preset} \
-                     k={} elapsed_ms={} phases=[{}]",
-                    params.k,
-                    outcome.elapsed.as_millis(),
-                    phases.join(" ")
-                );
-            }
-            // Journal newly proven outcomes only: a memo hit was journaled
-            // when it was first proven (possibly by an earlier process).
-            if outcome.status == Status::Optimal && !outcome.cache.result_memo_hit {
-                if let Some(persist) = daemon.persist.get() {
-                    let key = kdc_api::SolveKey {
-                        k: params.k,
-                        preset: preset.clone(),
-                    };
-                    let solution = kdc::Solution {
-                        vertices: outcome.best().unwrap_or_default().to_vec(),
-                        status: outcome.status,
-                        stats: outcome.stats.clone(),
-                    };
-                    persist.record_solve(&daemon.cache, &entry, &key, &solution);
-                }
-            }
-            Ok(OkLine::new()
-                .field("job", id)
-                .field("graph", graph)
-                .field("status", status_token(outcome.status))
-                .field("size", outcome.size())
-                .field(
-                    "vertices",
-                    render_vertices(outcome.best().unwrap_or_default()),
-                )
-                .field("cached", outcome.cache.result_memo_hit)
-                .field("ctcp_resumed", outcome.cache.ctcp_resumed)
-                .field("elapsed_ms", outcome.elapsed.as_millis())
-                .field("nodes", outcome.stats.nodes)
-                .field("ctcp_removed_v", outcome.stats.ctcp_vertex_removals)
-                .field("ctcp_removed_e", outcome.stats.ctcp_edge_removals)
-                .field("arena_reuses", outcome.stats.arena_reuses)
-                .field("universe_rebuilds", outcome.stats.universe_rebuilds)
-                .render())
-        }
-        JobOutcome::Batch(_) => Err("internal: solve job returned a batch".to_string()),
-        JobOutcome::Error(e) => Err(e),
-    }
-}
-
-/// Parameters of one `MSOLVE` request.
-struct MSolveParams {
-    k_lo: usize,
-    k_hi: usize,
-    r: Option<usize>,
-    preset: Option<String>,
-    limit: Option<Duration>,
-    nodes: Option<u64>,
-    threads: usize,
-}
-
-fn msolve(
-    daemon: &Daemon,
-    graph: &str,
-    params: MSolveParams,
-    writer: &mut TcpStream,
-) -> Result<String, String> {
-    let entry = daemon
-        .cache
-        .get(graph)
-        .ok_or_else(|| format!("no graph named {graph:?} (LOAD it first)"))?;
-    let preset = params.preset.unwrap_or_else(|| "kdc".to_string());
-    Options::preset(&preset)?;
-    // The whole sweep is one job, but answers stream as they land: the
-    // job's observer forwards each sub-query completion into a channel and
-    // this handler writes them as `RESULT` lines until the worker drops
-    // its sender, then falls through to the final OK. Same mpsc pattern as
-    // `SOLVE verbose=1`; non-SubDone solver events are dropped at the
-    // source so a chatty search cannot stall on a slow client.
-    let (tx, rx) = mpsc::channel::<Event>();
-    let tx = Mutex::new(tx);
-    let observer: Arc<dyn Observer> = Arc::new(move |e: &Event| {
-        if matches!(e, Event::SubDone { .. }) {
-            if let Ok(tx) = tx.lock() {
-                let _ = tx.send(*e);
-            }
-        }
-    });
-    let trace = kdc_obs::Tracer::new();
-    let id = submit_checked(
-        daemon,
-        JobSpec::Batch {
-            entry: entry.clone(),
-            k_lo: params.k_lo,
-            k_hi: params.k_hi,
-            r: params.r,
-            preset,
-            limit: params.limit,
-            nodes: params.nodes,
-            threads: params.threads,
-            observer: Some(JobObserver(observer)),
-            trace: Some(trace.clone()),
-        },
-    )?;
-    while let Ok(event) = rx.recv() {
-        if let Event::SubDone {
+/// The line, if any, a query streams for `event` before its final reply: a
+/// batch streams each sub-query completion as a `RESULT` line, and a
+/// verbose query streams every event as an `EVENT` line. Everything else is
+/// dropped at the source, so a chatty search cannot queue lines that no
+/// client asked for.
+fn streamed_line(batch: bool, verbose: bool, event: &Event) -> Option<String> {
+    match *event {
+        Event::SubDone {
             index,
             k,
             size,
             status,
-        } = event
-        {
-            // A dead client cannot be told; keep draining so the job is
-            // never blocked on the channel.
-            let _ = writer
-                .write_all(
-                    format!(
-                        "RESULT idx={index} k={k} size={size} status={}\n",
-                        status_token(status)
-                    )
-                    .as_bytes(),
-                )
-                .and_then(|()| writer.flush());
-        }
+        } if batch => Some(format!(
+            "RESULT idx={index} k={k} size={size} status={}",
+            status_token(status)
+        )),
+        _ if verbose => Some(event_line(event)),
+        _ => None,
     }
-    match daemon.queue.wait(id) {
+}
+
+/// The final `OK` line of a finished query job.
+fn render_outcome(
+    id: u64,
+    graph: &str,
+    query: &Query,
+    outcome: JobOutcome,
+) -> Result<String, String> {
+    let line = OkLine::new().field("job", id).field("graph", graph);
+    let outcome = match outcome {
+        JobOutcome::Error(e) => return Err(e),
         JobOutcome::Batch(batch) => {
-            // One sweep proves many (k, preset) rows at once; journal the
-            // session's whole exported state (replay folds last-wins, so
-            // re-journaling rows already on disk is harmless).
-            if let Some(persist) = daemon.persist.get() {
-                persist.record_session(&daemon.cache, &entry);
-            }
             let sizes: Vec<String> = batch
                 .outcomes
                 .iter()
                 .map(|o| o.size().to_string())
                 .collect();
-            Ok(OkLine::new()
-                .field("job", id)
-                .field("graph", graph)
+            return Ok(line
                 .field("status", status_token(batch.status()))
                 .field("subs", batch.outcomes.len())
                 .field("sizes", sizes.join(","))
@@ -919,21 +711,44 @@ fn msolve(
                 .field("memo_dedups", batch.batch_memo_dedups)
                 .field("nodes", batch.total_nodes())
                 .field("elapsed_ms", batch.elapsed.as_millis())
-                .render())
+                .render());
         }
-        JobOutcome::Done(_) => Err("internal: batch job returned a single outcome".to_string()),
-        JobOutcome::Error(e) => Err(e),
-    }
-}
-
-fn enumerate(daemon: &Daemon, graph: &str, k: usize, top: usize) -> Result<String, String> {
-    let entry = daemon
-        .cache
-        .get(graph)
-        .ok_or_else(|| format!("no graph named {graph:?} (LOAD it first)"))?;
-    let id = submit_checked(daemon, JobSpec::Enumerate { entry, k, top })?;
-    match daemon.queue.wait(id) {
-        JobOutcome::Done(outcome) => {
+        JobOutcome::Done(outcome) => outcome,
+    };
+    let line = match query {
+        Query::Solve { .. } | Query::Batch(_) => line
+            .field("status", status_token(outcome.status))
+            .field("size", outcome.size())
+            .field(
+                "vertices",
+                render_vertices(outcome.best().unwrap_or_default()),
+            )
+            .field("cached", outcome.cache.result_memo_hit)
+            .field("ctcp_resumed", outcome.cache.ctcp_resumed)
+            .field("elapsed_ms", outcome.elapsed.as_millis())
+            .field("nodes", outcome.stats.nodes)
+            .field("ctcp_removed_v", outcome.stats.ctcp_vertex_removals)
+            .field("ctcp_removed_e", outcome.stats.ctcp_edge_removals)
+            .field("arena_reuses", outcome.stats.arena_reuses)
+            .field("universe_rebuilds", outcome.stats.universe_rebuilds),
+        Query::Count { min_size, .. } => {
+            let Some(counts) = &outcome.counts else {
+                return Err("internal: count job returned no counts".to_string());
+            };
+            // Render only the non-zero sizes as size:count pairs.
+            let rendered: Vec<String> = counts
+                .counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(s, &c)| format!("{s}:{c}"))
+                .collect();
+            line.field("max_size", counts.max_size())
+                .field("total", counts.total_at_least(*min_size))
+                .field("counts", rendered.join(","))
+                .field("elapsed_ms", outcome.elapsed.as_millis())
+        }
+        Query::TopR { .. } | Query::Enumerate { .. } => {
             let complete = outcome.status == Status::Optimal;
             let sizes: Vec<String> = outcome
                 .witnesses
@@ -945,52 +760,134 @@ fn enumerate(daemon: &Daemon, graph: &str, k: usize, top: usize) -> Result<Strin
                 .iter()
                 .map(|c| render_vertices(c))
                 .collect();
-            Ok(OkLine::new()
-                .field("job", id)
-                .field("graph", graph)
-                .field("status", if complete { "complete" } else { "cancelled" })
+            line.field("status", if complete { "complete" } else { "cancelled" })
                 .field("count", outcome.witnesses.len())
                 .field("sizes", sizes.join(","))
                 .field("cliques", rendered.join(";"))
                 .field("elapsed_ms", outcome.elapsed.as_millis())
-                .render())
         }
-        JobOutcome::Batch(_) => Err("internal: enumerate job returned a batch".to_string()),
-        JobOutcome::Error(e) => Err(e),
+    };
+    Ok(line.render())
+}
+
+/// The maximum-solve answers of a finished job, keyed as the session memo
+/// keys them: the outcome of a `Solve`, or each solve (`r` unset)
+/// sub-query of a batch.
+fn solve_outcomes<'a>(
+    query: &Query,
+    preset: &str,
+    outcome: &'a JobOutcome,
+) -> Vec<(SolveKey, &'a Outcome)> {
+    let key = |k: usize, sub_preset: Option<&str>| SolveKey {
+        k,
+        preset: sub_preset.unwrap_or(preset).to_string(),
+    };
+    match (query, outcome) {
+        (Query::Solve { k }, JobOutcome::Done(outcome)) => vec![(key(*k, None), &**outcome)],
+        (Query::Batch(subs), JobOutcome::Batch(batch)) => subs
+            .iter()
+            .zip(&batch.outcomes)
+            .filter(|(sub, _)| sub.r.is_none())
+            .map(|(sub, outcome)| (key(sub.k, sub.preset.as_deref()), outcome))
+            .collect(),
+        _ => Vec::new(),
     }
 }
 
-fn count(daemon: &Daemon, graph: &str, k: usize, min_size: usize) -> Result<String, String> {
+/// The one path every query verb (`SOLVE`, `MSOLVE`, `ENUMERATE`, `COUNT`)
+/// takes: look the graph up, validate the preset, submit one job, stream
+/// its lines onto the connection while it runs, wait for it, journal what
+/// it newly proved, and render the final line.
+fn run_query(
+    daemon: &Daemon,
+    graph: &str,
+    query: Query,
+    preset: &str,
+    budget: Budget,
+    verbose: bool,
+    writer: &mut TcpStream,
+) -> Result<String, String> {
     let entry = daemon
         .cache
         .get(graph)
         .ok_or_else(|| format!("no graph named {graph:?} (LOAD it first)"))?;
-    let id = submit_checked(daemon, JobSpec::Count { entry, k, min_size })?;
-    match daemon.queue.wait(id) {
-        JobOutcome::Done(outcome) => {
-            let Some(counts) = outcome.counts else {
-                return Err("internal: count job returned no counts".to_string());
-            };
-            // Render only the non-zero sizes as size:count pairs.
-            let rendered: Vec<String> = counts
-                .counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(s, &c)| format!("{s}:{c}"))
-                .collect();
-            Ok(OkLine::new()
-                .field("job", id)
-                .field("graph", graph)
-                .field("max_size", counts.max_size())
-                .field("total", counts.total_at_least(min_size))
-                .field("counts", rendered.join(","))
-                .field("elapsed_ms", outcome.elapsed.as_millis())
-                .render())
-        }
-        JobOutcome::Batch(_) => Err("internal: count job returned a batch".to_string()),
-        JobOutcome::Error(e) => Err(e),
+    // Fail fast on a bad preset instead of burning a worker slot.
+    let options = Options::preset(preset)?;
+    let batch = matches!(query, Query::Batch(_));
+    // Streaming queries forward their lines into a channel that this
+    // handler drains onto the connection until the worker drops the sender
+    // (job finished), then falls through to the final line. The sender is
+    // wrapped in a mutex only to stay `Sync` for the observer.
+    let (observer, lines) = if batch || verbose {
+        let (tx, rx) = mpsc::channel::<String>();
+        let tx = Mutex::new(tx);
+        let observer: Arc<dyn Observer> = Arc::new(move |e: &Event| {
+            // A poisoned sender mutex means an earlier event callback
+            // panicked; dropping this line is strictly better than killing
+            // the whole job with a second panic.
+            if let Some(line) = streamed_line(batch, verbose, e) {
+                if let Ok(tx) = tx.lock() {
+                    let _ = tx.send(line);
+                }
+            }
+        });
+        (Some(observer), Some(rx))
+    } else {
+        (None, None)
+    };
+    // Solves and batches carry a tracer, so `TRACE <id>` works after the
+    // fact and the slow-query log can print a phase breakdown; enumeration
+    // and counting record no phase spans.
+    let trace = (batch || matches!(query, Query::Solve { .. })).then(kdc_obs::Tracer::new);
+    let spec = JobSpec {
+        entry: entry.clone(),
+        query,
+        budget,
+        options,
+        observer,
+        trace: trace.clone(),
+    };
+    let query = spec.query.clone();
+    // A busy refusal drops the spec (and with it the sender), so the `?`
+    // below cannot leave a channel dangling.
+    let id = submit_checked(daemon, spec)?;
+    for line in lines.iter().flatten() {
+        // A dead client cannot be told about it; keep draining so the job
+        // is not blocked on the channel, skip the writes.
+        let _ = writer
+            .write_all(format!("{line}\n").as_bytes())
+            .and_then(|()| writer.flush());
     }
+    let outcome = daemon.queue.wait(id);
+    let elapsed = match &outcome {
+        JobOutcome::Done(outcome) => Some(outcome.elapsed),
+        JobOutcome::Batch(batch) => Some(batch.elapsed),
+        JobOutcome::Error(_) => None,
+    };
+    if let (Some(trace), Some(elapsed)) = (&trace, elapsed) {
+        let elapsed_ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
+        if elapsed_ns >= daemon.slow_threshold_ns.load(Ordering::Relaxed) {
+            daemon.slow_queries.inc();
+            let phases: Vec<String> = trace
+                .summary()
+                .iter()
+                .map(|p| format!("{}={}ns/{}", p.name, p.total_ns, p.count))
+                .collect();
+            eprintln!(
+                "kdc_service slow query: job={id} {} elapsed_ms={} phases=[{}]",
+                describe(graph, &query, preset),
+                elapsed.as_millis(),
+                phases.join(" ")
+            );
+        }
+    }
+    // Journal before replying, so an answer means its proof is durable.
+    if let Some(persist) = daemon.persist.get() {
+        for (key, solved) in solve_outcomes(&query, preset, &outcome) {
+            persist.record_solve(&daemon.cache, &entry, &key, solved);
+        }
+    }
+    render_outcome(id, graph, &query, outcome)
 }
 
 fn stats(daemon: &Daemon, graph: Option<&str>) -> Result<String, String> {
@@ -1025,7 +922,7 @@ fn stats(daemon: &Daemon, graph: Option<&str>) -> Result<String, String> {
         None => Ok(OkLine::new()
             .field("graphs", daemon.cache.names().join(","))
             .field("parses", daemon.cache.parses())
-            .field("jobs", daemon.queue.list().len())
+            .field("jobs", daemon.queue.job_count())
             .field("cache_evictions", daemon.cache.evictions())
             .field(
                 "recovered_graphs",
@@ -1167,9 +1064,7 @@ mod tests {
     use kdc_graph::named;
 
     fn write_figure2() -> String {
-        let dir = std::env::temp_dir().join(format!("kdc_service_unit_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("figure2.clq");
+        let path = kdc_graph::io::fresh_temp_dir("service_unit").join("figure2.clq");
         kdc_graph::io::write_dimacs(&named::figure2(), &path).unwrap();
         path.to_string_lossy().into_owned()
     }

@@ -21,9 +21,7 @@ use std::time::{Duration, Instant};
 static FAULT_SCOPE: Mutex<()> = Mutex::new(());
 
 fn write_graph(name: &str, g: &kdc_graph::Graph) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kdc_service_chaos_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
+    let path = kdc_graph::io::fresh_temp_dir("service_chaos").join(name);
     kdc_graph::io::write_dimacs(g, &path).unwrap();
     path
 }

@@ -44,9 +44,7 @@ fn field<'a>(response: &'a str, key: &str) -> &'a str {
 }
 
 fn write_graph(name: &str, g: &Graph) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kdc_service_e2e_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
+    let path = kdc_graph::io::fresh_temp_dir("service_e2e").join(name);
     kdc_graph::io::write_dimacs(g, &path).unwrap();
     path
 }
@@ -385,6 +383,29 @@ fn metrics_trace_and_slow_query_log_end_to_end() {
         .send(&format!("TRACE {count_job}"))
         .starts_with("ERR "));
     assert!(client.send("TRACE 9999").starts_with("ERR "));
+    // Batches are traced like solves (k=0 and k=1 run real searches);
+    // enumerations, like counts, are not.
+    let reply = kdc_service::request(&addr, "MSOLVE fig2 k=0..2").unwrap();
+    let batch_job = field(reply.lines().last().unwrap(), "job").to_string();
+    let resp = client.send(&format!("TRACE {batch_job}"));
+    let spans: usize = field(&resp, "spans").parse().unwrap();
+    assert!(spans > 0, "batch must record phase spans: {resp}");
+    let resp = client.send("ENUMERATE fig2 k=1 top=2");
+    assert!(resp.starts_with("OK "), "{resp}");
+    let enumerate_job = field(&resp, "job").to_string();
+    assert!(client
+        .send(&format!("TRACE {enumerate_job}"))
+        .starts_with("ERR "));
+    // JOBS rows keep their exact per-verb shapes.
+    let jobs = client.send("JOBS");
+    for row in [
+        format!("{job_id}:done:solve(fig2,k=2,preset=kdc):"),
+        format!("{count_job}:done:count(fig2,k=1,min=5):"),
+        format!("{batch_job}:done:batch(fig2,k=0..2,preset=kdc):"),
+        format!("{enumerate_job}:done:enumerate(fig2,k=1,top=2):"),
+    ] {
+        assert!(jobs.contains(&row), "JOBS must list {row}: {jobs}");
+    }
 
     client.send("SHUTDOWN");
     handle.join().expect("clean server exit");

@@ -41,9 +41,7 @@ fn field<'a>(response: &'a str, key: &str) -> &'a str {
 }
 
 fn write_graph(name: &str, g: &Graph) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kdc_service_e2e_batch_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
+    let path = kdc_graph::io::fresh_temp_dir("service_e2e_batch").join(name);
     kdc_graph::io::write_dimacs(g, &path).unwrap();
     path
 }
@@ -226,5 +224,76 @@ fn drain_shutdown_lets_running_batch_finish() {
         2,
         "{reply}"
     );
+    handle.join().expect("clean server exit");
+}
+
+/// Every proof an `MSOLVE` sweep makes is journaled before its reply, so
+/// it survives a restart: the restarted daemon answers each swept `k` from
+/// the recovered memo (`cached=true`), byte-equal to a direct solve.
+#[test]
+fn msolve_proofs_survive_a_restart() {
+    let g = named::figure2();
+    let path = write_graph("fig2_restart.clq", &g);
+    let state_dir = kdc_graph::io::fresh_temp_dir("service_e2e_batch_state");
+    let direct: Vec<String> = (0..=2)
+        .map(|k| {
+            let vertices = Solver::new(&g, k, SolverConfig::kdc()).solve().vertices;
+            let rendered: Vec<String> = vertices.iter().map(u32::to_string).collect();
+            rendered.join(",")
+        })
+        .collect();
+    let load = format!("LOAD {} AS fig2", path.display());
+
+    let handle = kdc_service::Server::bind("127.0.0.1:0", 2)
+        .expect("bind ephemeral port")
+        .with_state_dir(&state_dir)
+        .expect("open state dir")
+        .spawn()
+        .expect("spawn accept loop");
+    let addr = handle.addr().to_string();
+    assert!(kdc_service::request(&addr, &load)
+        .unwrap()
+        .starts_with("OK "));
+    let reply = kdc_service::request(&addr, "MSOLVE fig2 k=0..2").unwrap();
+    let verdict = reply.lines().last().unwrap();
+    assert_eq!(field(verdict, "status"), "optimal", "{reply}");
+    // The reply means the proofs are on disk already: a copy of the state
+    // directory taken now, before any shutdown compaction, recovers a memo
+    // row for every swept k.
+    let copy = kdc_graph::io::fresh_temp_dir("service_e2e_batch_copy");
+    for file in std::fs::read_dir(&state_dir).unwrap() {
+        let file = file.unwrap();
+        std::fs::copy(file.path(), copy.join(file.file_name())).unwrap();
+    }
+    let (_, recovered) = kdc_store::Store::open(&copy).unwrap();
+    let memo_ks: Vec<u64> = recovered
+        .iter()
+        .filter(|gs| gs.name == "fig2")
+        .flat_map(|gs| gs.memos.iter())
+        .filter(|m| m.preset == "kdc")
+        .map(|m| m.k)
+        .collect();
+    assert_eq!(memo_ks, vec![0, 1, 2], "journaled memo rows");
+    let resp = kdc_service::request(&addr, "SHUTDOWN mode=drain").unwrap();
+    assert_eq!(resp, "OK shutdown=ok mode=drain");
+    handle.join().expect("clean server exit");
+
+    let handle = kdc_service::Server::bind("127.0.0.1:0", 2)
+        .expect("bind ephemeral port")
+        .with_state_dir(&state_dir)
+        .expect("reopen state dir")
+        .spawn()
+        .expect("spawn accept loop");
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr);
+    let stats = client.send("STATS");
+    assert_eq!(field(&stats, "recovered_graphs"), "1", "{stats}");
+    for (k, vertices) in direct.iter().enumerate() {
+        let resp = client.send(&format!("SOLVE fig2 k={k}"));
+        assert_eq!(field(&resp, "status"), "optimal", "{resp}");
+        assert_eq!(field(&resp, "cached"), "true", "{resp}");
+        assert_eq!(field(&resp, "vertices"), vertices, "k={k}: {resp}");
+    }
+    client.send("SHUTDOWN");
     handle.join().expect("clean server exit");
 }

@@ -447,7 +447,8 @@ impl Store {
 mod tests {
     use super::*;
 
-    /// Fault state is process-global; tests that arm it must not interleave.
+    /// Fault state is process-global: every test that touches a store holds
+    /// this, so a plan armed by one test never fires inside another's I/O.
     static FAULT_GUARD: Mutex<()> = Mutex::new(());
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -474,6 +475,7 @@ mod tests {
 
     #[test]
     fn append_then_reopen_recovers_state() {
+        let _g = FAULT_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("roundtrip");
         let (store, recovered) = Store::open(&dir).unwrap();
         assert!(recovered.is_empty());
@@ -501,6 +503,7 @@ mod tests {
 
     #[test]
     fn torn_journal_tail_is_truncated_on_reopen() {
+        let _g = FAULT_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("torn");
         let (store, _) = Store::open(&dir).unwrap();
         let records = sample_state().records();
@@ -529,6 +532,7 @@ mod tests {
 
     #[test]
     fn compaction_folds_duplicates_and_resets_cadence() {
+        let _g = FAULT_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("compact");
         let (store, _) = Store::open(&dir).unwrap();
         let state = sample_state();
@@ -599,6 +603,7 @@ mod tests {
 
     #[test]
     fn append_reports_compaction_due() {
+        let _g = FAULT_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("cadence");
         let (store, _) = Store::open(&dir).unwrap();
         let rec = Record::Graph {

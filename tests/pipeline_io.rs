@@ -7,8 +7,7 @@ use std::time::Duration;
 
 #[test]
 fn roundtrip_through_files_preserves_answers() {
-    let dir = std::env::temp_dir().join("kdc_pipeline_tests");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = io::fresh_temp_dir("pipeline_tests");
     let mut rng = gen::seeded_rng(123);
     let g = gen::gnp(40, 0.25, &mut rng);
 
