@@ -381,7 +381,6 @@ impl<'a> BatchExec<'a> {
                     stats: solution.stats,
                     cache: CacheInfo {
                         result_memo_hit: true,
-                        ctcp_evictions: self.session.ctcp_evictions_snapshot(),
                         ..CacheInfo::default()
                     },
                     elapsed: t0.elapsed(),
@@ -479,7 +478,6 @@ impl<'a> BatchExec<'a> {
                 ctcp_resumed,
                 peeling_shared: true,
                 seeded,
-                ctcp_evictions: self.session.ctcp_evictions_snapshot(),
             },
             elapsed: t0.elapsed(),
         })
@@ -552,10 +550,7 @@ impl<'a> BatchExec<'a> {
             counts: None,
             status,
             stats: kdc::SearchStats::default(),
-            cache: CacheInfo {
-                ctcp_evictions: self.session.ctcp_evictions_snapshot(),
-                ..CacheInfo::default()
-            },
+            cache: CacheInfo::default(),
             elapsed: Duration::ZERO,
         }
     }

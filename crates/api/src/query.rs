@@ -303,9 +303,6 @@ pub struct CacheInfo {
     pub peeling_shared: bool,
     /// A stored best-known witness seeded the initial lower bound.
     pub seeded: bool,
-    /// Session-lifetime count of reducers evicted from the bounded LRU
-    /// cache, sampled when the query finished.
-    pub ctcp_evictions: u64,
 }
 
 /// The unified answer to any [`Query`].

@@ -580,12 +580,6 @@ impl Session {
         obs.batch_memo_dedups.add(dedups);
     }
 
-    /// Session-lifetime reducer eviction count, as sampled into
-    /// [`CacheInfo::ctcp_evictions`].
-    pub(crate) fn ctcp_evictions_snapshot(&self) -> u64 {
-        self.ctcp_evictions.load(Ordering::Relaxed)
-    }
-
     /// The thread count a budget is allowed to spend (see
     /// [`Budget::threads`]; clamped server-side).
     pub(crate) fn clamped_threads(budget: &Budget) -> usize {
@@ -682,10 +676,7 @@ impl Session {
                     counts: None,
                     status,
                     stats,
-                    cache: CacheInfo {
-                        ctcp_evictions: self.ctcp_evictions.load(Ordering::Relaxed),
-                        ..CacheInfo::default()
-                    },
+                    cache: CacheInfo::default(),
                     elapsed: t0.elapsed(),
                 })
             }
@@ -720,7 +711,6 @@ impl Session {
                     stats: solution.stats,
                     cache: CacheInfo {
                         result_memo_hit: true,
-                        ctcp_evictions: self.ctcp_evictions.load(Ordering::Relaxed),
                         ..CacheInfo::default()
                     },
                     elapsed: t0.elapsed(),
@@ -778,7 +768,6 @@ impl Session {
                 ctcp_resumed,
                 peeling_shared: true,
                 seeded,
-                ctcp_evictions: self.ctcp_evictions.load(Ordering::Relaxed),
             },
             elapsed: t0.elapsed(),
         })
@@ -813,10 +802,7 @@ impl Session {
             // enumeration short: the pool may be truncated.
             status: result.status,
             stats: kdc::SearchStats::default(),
-            cache: CacheInfo {
-                ctcp_evictions: self.ctcp_evictions.load(Ordering::Relaxed),
-                ..CacheInfo::default()
-            },
+            cache: CacheInfo::default(),
             elapsed: t0.elapsed(),
         })
     }
@@ -839,10 +825,7 @@ impl Session {
             counts: Some(counts),
             status,
             stats: kdc::SearchStats::default(),
-            cache: CacheInfo {
-                ctcp_evictions: self.ctcp_evictions.load(Ordering::Relaxed),
-                ..CacheInfo::default()
-            },
+            cache: CacheInfo::default(),
             elapsed: t0.elapsed(),
         })
     }

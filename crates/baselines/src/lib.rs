@@ -17,9 +17,9 @@
 //!   algorithm, implemented independently of the kDC engine.
 //!
 //! The kdbb/madec baselines are *rule-faithful reconfigurations* of the same
-//! engine that powers kDC (see DESIGN.md §2.3): identical data structures,
-//! different algorithmic content. This matches the paper's own ablation
-//! philosophy and isolates the contribution of BR/RR2, RR3/RR4 and UB1.
+//! engine that powers kDC: identical data structures, different algorithmic
+//! content. This matches the paper's own ablation philosophy and isolates
+//! the contribution of BR/RR2, RR3/RR4 and UB1.
 
 pub mod kdbb;
 pub mod madec;

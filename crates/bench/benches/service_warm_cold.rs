@@ -26,16 +26,12 @@ use std::time::Duration;
 
 const K: usize = 2;
 
-/// Writes the benchmark graph once and returns its path.
+/// Writes the benchmark graph into a fresh temp dir and returns its path.
 fn graph_file() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kdc_bench_service_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("planted.clq");
-    if !path.exists() {
-        let mut rng = gen::seeded_rng(4242);
-        let (g, _) = gen::planted_defective_clique(400, 14, K, 0.02, &mut rng);
-        kdc_graph::io::write_dimacs(&g, &path).unwrap();
-    }
+    let path = kdc_graph::io::fresh_temp_dir("bench_service").join("planted.clq");
+    let mut rng = gen::seeded_rng(4242);
+    let (g, _) = gen::planted_defective_clique(400, 14, K, 0.02, &mut rng);
+    kdc_graph::io::write_dimacs(&g, &path).unwrap();
     path
 }
 
@@ -106,6 +102,7 @@ fn bench_warm_cold(c: &mut Criterion) {
         })
     });
     group.finish();
+    std::fs::remove_dir_all(path.parent().expect("graph file has a parent dir")).unwrap();
 
     // Structural assertions: warm really skipped re-parsing and
     // re-searching. `parses` counts file parses; the session counters count

@@ -1,5 +1,6 @@
 //! Runs every experiment binary in sequence, forwarding `--quick` /
-//! `--limit` flags. Convenience wrapper for regenerating EXPERIMENTS.md.
+//! `--limit` flags. Convenience wrapper for regenerating every paper
+//! table and figure (see the README's "Experiments" section).
 //!
 //! Usage: `all_experiments [--quick] [--limit <seconds>]`.
 

@@ -1,87 +1,124 @@
-//! `bench-snapshot`: the machine-readable perf baseline of the suite.
+//! `bench-snapshot`: the machine-readable perf baselines of the suite.
 //!
-//! Runs the planted solve and CTCP cases and writes `BENCH_6.json` — one
-//! line per case with the median wall-clock nanoseconds, explored
-//! branch-and-bound nodes, the bound-prune counters and the per-bound
-//! cost attribution (invocations / prunes / prune-rate / nanoseconds for
-//! each of UB2, UB3, UB1, KD-Club, UB4) — so the perf trajectory across
-//! PRs is diffable by tools, not just by eyeballing criterion output.
-//! Node counts are deterministic for a given algorithm, so CI gates on
-//! them (`--check` fails when any case regresses nodes by more than 5%
-//! against the committed baseline); wall-clock is recorded for trend
-//! reading but never gated, because CI hardware varies.
+//! Each suite measures one layer and writes its own committed file (format
+//! and gate in [`kdc_bench::snapshot`]):
 //!
-//! Every solve case runs in three variants: the flagship `kdc` preset on
-//! the word-parallel kernel, the same preset forced onto the scalar kernel
-//! (`kdc-scalar`, the speedup baseline), and `kdclub` (the KD-Club-style
-//! re-colouring bound, the node-reduction headline).
+//! * `solve` → `BENCH_6.json`: the planted solve cases, each in three
+//!   variants — the flagship `kdc` preset on the word-parallel kernel, the
+//!   same preset on the scalar kernel (`kdc-scalar`, the speedup
+//!   baseline) and `kdclub` (the KD-Club re-colouring bound, the
+//!   node-reduction headline) — with bound-prune counters and per-bound
+//!   cost attribution (invocations / prunes / prune-rate / ns for each of
+//!   UB2, UB3, UB1, KD-Club, UB4), plus the incremental CTCP case. Write
+//!   mode also measures the observability layer's cost on planted-200
+//!   (`kdc_obs` enabled vs disabled; target ≤ 2%, reported, never gated).
+//! * `batch` → `BENCH_7.json`: the planted-200-k3 sweep over `k = 0..=4`
+//!   as one batch versus five fresh-session cold solves.
+//! * `recovery` → `BENCH_8.json`: a cold solve versus a warm restart from
+//!   a real [`kdc_store::Store`] state dir.
 //!
-//! Snapshot mode additionally measures the observability layer's cost on
-//! the planted-200 case — the same solve with `kdc_obs` enabled vs
-//! disabled — and reports the overhead (target ≤ 2%; reported, never
-//! gated, like all wall-clock numbers here).
+//! Every run asserts its suite's contract before anything is written or
+//! compared: node counts deterministic across reps, batch answers
+//! byte-identical to cold solves with at least one shared reducer pass
+//! and one witness seed and under 70% of the summed cold nodes, and the
+//! restart answered from the recovered memo, byte-identical, re-exploring
+//! under 50% of the cold nodes. `--check` then gates each suite against
+//! its committed file (see [`kdc_bench::snapshot::check`]).
 //!
-//! Usage: `bench-snapshot [--out PATH] [--check [PATH]] [--reps N]`.
+//! Usage: `bench-snapshot [--check] [--reps N] [SUITE...]`; with no suite
+//! named, all of them run.
 
 use kdc::{bound, Solver, SolverConfig};
+use kdc_api::{Budget, Options, Outcome, Query, Session, SubQuery};
+use kdc_bench::snapshot::{self, median_ns, Case, ObsOverhead};
 use kdc_graph::ctcp::Ctcp;
 use kdc_graph::{gen, Graph};
-use std::time::Instant;
+use kdc_service::{export_graph_state, import_graph_state};
+use kdc_store::Store;
+use std::path::Path;
 
-/// Default snapshot path, relative to the invocation directory (the
-/// workspace root under `cargo run`).
-const DEFAULT_PATH: &str = "BENCH_6.json";
+/// Committed baseline of the `solve` suite, relative to the invocation
+/// directory (the workspace root under `cargo run`).
+const SOLVE_FILE: &str = "BENCH_6.json";
+/// Committed baseline of the `batch` suite.
+const BATCH_FILE: &str = "BENCH_7.json";
+/// Committed baseline of the `recovery` suite.
+const RECOVERY_FILE: &str = "BENCH_8.json";
 
-/// Allowed relative node-count growth before `--check` fails.
-const NODE_TOLERANCE: f64 = 0.05;
+/// The batch must explore strictly fewer than this fraction of the nodes
+/// the summed cold solves explore — the headline sharing guarantee.
+const SHARING_CEILING: f64 = 0.70;
 
-/// One measured case: a name plus ordered numeric metrics. `rates` holds
-/// derived ratio columns (rendered with four decimals) that the `--check`
-/// gate never reads.
-struct CaseResult {
-    name: String,
-    median_ns: u128,
-    runs: usize,
-    metrics: Vec<(String, u64)>,
-    rates: Vec<(String, f64)>,
+/// The warm restart must re-explore strictly fewer than this fraction of
+/// the cold solve's nodes — the headline durability guarantee.
+const REEXPLORE_CEILING: f64 = 0.50;
+
+/// One named workload and the file it is baselined in.
+struct Suite {
+    name: &'static str,
+    file: &'static str,
+    schema: u32,
+    run: fn(usize) -> Vec<Case>,
+    /// Write mode also records the observability-overhead report.
+    obs_overhead: bool,
 }
 
-/// The planted solve workloads: the shared search-heavy cases (one source
-/// of generator parameters for this bin and the `engine` criterion bench)
-/// plus one preprocessing-dominated case — the classic low-noise plant
-/// collapses to the planted set before any search, pinning the heuristic +
-/// CTCP wall-clock.
-fn solve_cases() -> Vec<(String, Graph, usize)> {
-    let mut cases: Vec<(String, Graph, usize)> = kdc_bench::collections::planted_snapshot_cases()
-        .into_iter()
-        .map(|(name, g, k)| (name.to_string(), g, k))
-        .collect();
+const SUITES: [Suite; 3] = [
+    Suite {
+        name: "solve",
+        file: SOLVE_FILE,
+        schema: 2,
+        run: solve_suite,
+        obs_overhead: true,
+    },
+    Suite {
+        name: "batch",
+        file: BATCH_FILE,
+        schema: 1,
+        run: batch_suite,
+        obs_overhead: false,
+    },
+    Suite {
+        name: "recovery",
+        file: RECOVERY_FILE,
+        schema: 1,
+        run: recovery_suite,
+        obs_overhead: false,
+    },
+];
+
+fn owned(pairs: &[(&str, u64)]) -> Vec<(String, u64)> {
+    pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+}
+
+/// The `solve` suite: every planted solve case in three variants, then
+/// the incremental CTCP case.
+fn solve_suite(reps: usize) -> Vec<Case> {
+    // The shared search-heavy cases (one source of generator parameters for
+    // this bin and the `engine` criterion bench) plus one
+    // preprocessing-dominated case — the classic low-noise plant collapses
+    // to the planted set before any search, pinning heuristic + CTCP
+    // wall-clock.
+    let mut cases = kdc_bench::collections::planted_snapshot_cases();
     let (g, _) = gen::planted_defective_clique(2_000, 18, 2, 0.01, &mut gen::seeded_rng(11));
-    cases.push(("planted-2k-k2".to_string(), g, 2));
-    cases
-}
-
-/// Runs `f` `reps` times and returns the median duration in nanoseconds.
-fn median_ns(reps: usize, mut f: impl FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    cases.push(("planted-2k-k2", g, 2));
+    let mut out = Vec::new();
+    for (name, g, k) in &cases {
+        for (variant, cfg) in [
+            ("kdc", SolverConfig::kdc()),
+            ("kdc-scalar", SolverConfig::kdc().with_scalar_kernel()),
+            ("kdclub", SolverConfig::kdclub()),
+        ] {
+            let case = format!("solve/{name}/{variant}");
+            out.push(run_solve_case(case, g, *k, &cfg, reps));
+        }
+    }
+    out.push(run_ctcp_case(reps));
+    out
 }
 
 /// Measures one (graph, k, config) solve variant.
-fn run_solve_case(
-    name: String,
-    g: &Graph,
-    k: usize,
-    cfg: &SolverConfig,
-    reps: usize,
-) -> CaseResult {
+fn run_solve_case(name: String, g: &Graph, k: usize, cfg: &SolverConfig, reps: usize) -> Case {
     let reference = Solver::new(g, k, cfg.clone()).solve();
     assert!(
         reference.is_optimal(),
@@ -95,13 +132,13 @@ fn run_solve_case(
         );
     });
     let s = &reference.stats;
-    let mut metrics: Vec<(String, u64)> = vec![
-        ("nodes".to_string(), s.nodes),
-        ("bound_prunes".to_string(), s.bound_prunes),
-        ("ub1_prunes".to_string(), s.ub1_prunes),
-        ("kdclub_prunes".to_string(), s.kdclub_prunes),
-        ("size".to_string(), reference.size() as u64),
-    ];
+    let mut metrics = owned(&[
+        ("nodes", s.nodes),
+        ("bound_prunes", s.bound_prunes),
+        ("ub1_prunes", s.ub1_prunes),
+        ("kdclub_prunes", s.kdclub_prunes),
+        ("size", reference.size() as u64),
+    ]);
     // Per-bound cost attribution, in the engine's evaluation order. The
     // prune-rate (prunes / invocations) is what tells whether a bound
     // earns its nanoseconds.
@@ -118,7 +155,7 @@ fn run_solve_case(
         };
         rates.push((format!("{b}_prune_rate"), rate));
     }
-    CaseResult {
+    Case {
         name,
         median_ns: median,
         runs: reps,
@@ -129,7 +166,7 @@ fn run_solve_case(
 
 /// Measures the incremental CTCP case: a warm reducer driven across the
 /// rising lower-bound schedule of the `ctcp` criterion bench.
-fn run_ctcp_case(reps: usize) -> CaseResult {
+fn run_ctcp_case(reps: usize) -> Case {
     const SCHEDULE: [usize; 6] = [8, 10, 12, 14, 16, 18];
     let (g, _) = gen::planted_defective_clique(2_000, 18, 2, 0.01, &mut gen::seeded_rng(11));
     let mut vertex_removals = 0u64;
@@ -146,23 +183,22 @@ fn run_ctcp_case(reps: usize) -> CaseResult {
         vertex_removals = vs;
         edge_removals = es;
     });
-    CaseResult {
+    Case {
         name: "ctcp/planted-2k-schedule".to_string(),
         median_ns: median,
         runs: reps,
-        metrics: vec![
-            ("vertex_removals".to_string(), vertex_removals),
-            ("edge_removals".to_string(), edge_removals),
-        ],
+        metrics: owned(&[
+            ("vertex_removals", vertex_removals),
+            ("edge_removals", edge_removals),
+        ]),
         rates: Vec::new(),
     }
 }
 
 /// Measures the observability layer's wall-clock cost: the planted-200
 /// solve with `kdc_obs` enabled (bound timing on, the default) vs
-/// disabled. Returns `(enabled_ns, disabled_ns)` medians; the global
-/// switch is restored to enabled afterwards.
-fn measure_obs_overhead(reps: usize) -> (u128, u128) {
+/// disabled. The global switch is restored to enabled afterwards.
+fn measure_obs_overhead(reps: usize) -> ObsOverhead {
     let (g, _) = gen::planted_defective_clique(200, 14, 3, 0.30, &mut gen::seeded_rng(13));
     let cfg = SolverConfig::kdc();
     let run = || {
@@ -183,225 +219,312 @@ fn measure_obs_overhead(reps: usize) -> (u128, u128) {
     kdc_obs::set_enabled(true);
     enabled_samples.sort_unstable();
     disabled_samples.sort_unstable();
-    (
-        enabled_samples[enabled_samples.len() / 2],
-        disabled_samples[disabled_samples.len() / 2],
-    )
+    ObsOverhead {
+        case: "planted-200-k3/kdc",
+        enabled_ns: enabled_samples[enabled_samples.len() / 2],
+        disabled_ns: disabled_samples[disabled_samples.len() / 2],
+    }
 }
 
-fn collect(reps: usize) -> Vec<CaseResult> {
-    let mut out = Vec::new();
-    for (name, g, k) in solve_cases() {
-        let word = SolverConfig::kdc();
-        let scalar = SolverConfig::kdc().with_scalar_kernel();
-        let kdclub = SolverConfig::kdclub();
-        out.push(run_solve_case(
-            format!("solve/{name}/kdc"),
-            &g,
-            k,
-            &word,
-            reps,
-        ));
-        out.push(run_solve_case(
-            format!("solve/{name}/kdc-scalar"),
-            &g,
-            k,
-            &scalar,
-            reps,
-        ));
-        out.push(run_solve_case(
-            format!("solve/{name}/kdclub"),
-            &g,
-            k,
-            &kdclub,
-            reps,
-        ));
-    }
-    out.push(run_ctcp_case(reps));
-    out
+/// One fresh-session cold solve — the unshared reference execution.
+fn cold_solve(g: &Graph, k: usize) -> Outcome {
+    Session::new(g.clone())
+        .run(
+            &Query::Solve { k },
+            &Budget::default(),
+            &Options::preset("kdc").unwrap(),
+        )
+        .expect("cold solve")
 }
 
-fn render(cases: &[CaseResult], overhead: Option<(u128, u128)>) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"bench\": \"BENCH_6\",\n  \"schema\": 2,\n");
-    if let Some((enabled, disabled)) = overhead {
-        s.push_str(&format!(
-            "  \"obs_overhead\": {{\"case\": \"planted-200-k3/kdc\", \
-             \"enabled_median_ns\": {enabled}, \"disabled_median_ns\": {disabled}, \
-             \"overhead_pct\": {:.2}}},\n",
-            overhead_pct(enabled, disabled)
-        ));
-    }
-    s.push_str("  \"cases\": [\n");
-    for (i, c) in cases.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"median_ns\": {}, \"runs\": {}",
-            c.name, c.median_ns, c.runs
-        ));
-        for (k, v) in &c.metrics {
-            s.push_str(&format!(", \"{k}\": {v}"));
+/// The `batch` suite: the planted-200-k3 sweep over `k = 0..=4` as one
+/// batch (one shared universe, one reducer schedule, cross-`k` witness
+/// seeds and upper-bound caps) versus five fresh-session cold solves.
+fn batch_suite(reps: usize) -> Vec<Case> {
+    const K_SWEEP: std::ops::RangeInclusive<usize> = 0..=4;
+    let (name, g, _) = kdc_bench::collections::planted_snapshot_cases().remove(0);
+    let subs: Vec<SubQuery> = K_SWEEP.map(SubQuery::solve).collect();
+
+    // Reference run: per-k cold solves, summed.
+    let reference: Vec<Outcome> = K_SWEEP.map(|k| cold_solve(&g, k)).collect();
+    let cold_nodes: u64 = reference.iter().map(|o| o.stats.nodes).sum();
+    let cold_median = median_ns(reps, || {
+        for k in K_SWEEP {
+            let out = cold_solve(&g, k);
+            assert_eq!(
+                out.stats.nodes, reference[k].stats.nodes,
+                "{name}: cold node counts must be deterministic"
+            );
         }
-        for (k, v) in &c.rates {
-            s.push_str(&format!(", \"{k}\": {v:.4}"));
-        }
-        s.push_str(if i + 1 == cases.len() { "}\n" } else { "},\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
+    });
 
-/// Relative cost of the enabled observability layer, in percent (can be
-/// negative under timer noise).
-fn overhead_pct(enabled: u128, disabled: u128) -> f64 {
-    if disabled == 0 {
-        return 0.0;
-    }
-    (enabled as f64 / disabled as f64 - 1.0) * 100.0
-}
-
-/// Extracts a `"key": value` numeric field from a one-case JSON line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the `"name"` field from a one-case JSON line.
-fn field_name(line: &str) -> Option<String> {
-    let pat = "\"name\": \"";
-    let at = line.find(pat)? + pat.len();
-    let rest = &line[at..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Parses a committed snapshot into (name → (median_ns, nodes, size)).
-fn parse_snapshot(text: &str) -> Vec<(String, u128, Option<u64>, Option<u64>)> {
-    text.lines()
-        .filter_map(|line| {
-            let name = field_name(line)?;
-            let median = field_u64(line, "median_ns")? as u128;
-            Some((
-                name,
-                median,
-                field_u64(line, "nodes"),
-                field_u64(line, "size"),
-            ))
-        })
-        .collect()
-}
-
-/// `--check`: re-measure and compare against the committed snapshot. Node
-/// counts (and solution sizes) gate; wall-clock deltas are only reported.
-fn check(baseline_path: &str, cases: &[CaseResult]) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline = parse_snapshot(&text);
-    if baseline.is_empty() {
-        return Err(format!("baseline {baseline_path} contains no cases"));
-    }
-    let mut failures = Vec::new();
-    for (name, base_ns, base_nodes, base_size) in &baseline {
-        let Some(case) = cases.iter().find(|c| &c.name == name) else {
-            failures.push(format!("case {name} missing from this run"));
-            continue;
-        };
-        let metric = |key: &str| {
-            case.metrics
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|&(_, v)| v)
-        };
-        let ratio = case.median_ns as f64 / *base_ns as f64;
-        println!(
-            "{name}: wall {:.2}x of baseline ({} ns vs {} ns)",
-            ratio, case.median_ns, base_ns
+    // Batched run: one fresh session sweeping the same sub-queries.
+    let batch = Session::new(g.clone())
+        .run_batch(&subs, &Budget::default(), &Options::preset("kdc").unwrap())
+        .expect("batch sweep");
+    for (k, (got, want)) in batch.outcomes.iter().zip(&reference).enumerate() {
+        assert_eq!(got.status, want.status, "{name} k={k}: status parity");
+        assert_eq!(
+            got.witnesses, want.witnesses,
+            "{name} k={k}: batch answers must be byte-identical to cold solves"
         );
-        if let (Some(base), Some(now)) = (*base_nodes, metric("nodes")) {
-            let limit = (base as f64 * (1.0 + NODE_TOLERANCE)).floor() as u64;
-            if now > limit {
-                failures.push(format!(
-                    "case {name}: nodes regressed {base} -> {now} (> {:.0}% tolerance)",
-                    NODE_TOLERANCE * 100.0
-                ));
-            } else {
-                println!("{name}: nodes {now} (baseline {base}) ok");
-            }
-        }
-        if let (Some(base), Some(now)) = (*base_size, metric("size")) {
-            if base != now {
-                failures.push(format!(
-                    "case {name}: solution size changed {base} -> {now}"
-                ));
-            }
-        }
     }
-    for case in cases {
-        if !baseline.iter().any(|(n, ..)| n == &case.name) {
-            println!("note: new case {} not in baseline", case.name);
-        }
+    assert!(
+        batch.batch_ctcp_shares >= 1,
+        "{name}: sweep must share at least one reducer pass"
+    );
+    assert!(
+        batch.batch_witness_seeds >= 1,
+        "{name}: sweep must seed at least one lower bound from a witness"
+    );
+    let batch_nodes = batch.total_nodes();
+    let ceiling = (cold_nodes as f64 * SHARING_CEILING) as u64;
+    assert!(
+        batch_nodes < ceiling,
+        "{name}: batch explored {batch_nodes} nodes, \
+         >= {:.0}% of the {cold_nodes} summed cold nodes",
+        SHARING_CEILING * 100.0
+    );
+    let batch_median = median_ns(reps, || {
+        let again = Session::new(g.clone())
+            .run_batch(&subs, &Budget::default(), &Options::preset("kdc").unwrap())
+            .expect("batch sweep");
+        assert_eq!(
+            again.total_nodes(),
+            batch_nodes,
+            "{name}: batch node counts must be deterministic"
+        );
+    });
+
+    let sizes: Vec<(String, u64)> = reference
+        .iter()
+        .enumerate()
+        .map(|(k, o)| (format!("size_k{k}"), o.best().map_or(0, |w| w.len()) as u64))
+        .collect();
+    let mut batch_metrics = owned(&[
+        ("nodes", batch_nodes),
+        ("cold_nodes", cold_nodes),
+        ("ctcp_shares", batch.batch_ctcp_shares),
+        ("witness_seeds", batch.batch_witness_seeds),
+        ("memo_dedups", batch.batch_memo_dedups),
+    ]);
+    batch_metrics.extend(sizes.iter().cloned());
+    let mut cold_metrics = owned(&[("nodes", cold_nodes)]);
+    cold_metrics.extend(sizes);
+    vec![
+        Case {
+            name: format!("batch/{name}/sweep-k0-4"),
+            median_ns: batch_median,
+            runs: reps,
+            metrics: batch_metrics,
+            rates: Vec::new(),
+        },
+        Case {
+            name: format!("cold/{name}/sweep-k0-4"),
+            median_ns: cold_median,
+            runs: reps,
+            metrics: cold_metrics,
+            rates: Vec::new(),
+        },
+    ]
+}
+
+/// One full warm restart: replay the state dir, rebuild a session from the
+/// recovered state, and re-ask the benchmarked query. Returns the outcome
+/// plus how many witnesses/memos the import accepted.
+fn warm_restart(state_dir: &Path, g: &Graph, k: usize) -> (Outcome, u64, u64) {
+    let (_store, recovered) = Store::open(state_dir).expect("reopen state dir");
+    let gs = recovered
+        .iter()
+        .find(|gs| gs.name == "bench")
+        .expect("persisted graph state survived the restart");
+    let session = Session::new(g.clone());
+    let (witnesses, memos) = session.import_state(&import_graph_state(gs));
+    (session.solve(k), witnesses, memos)
+}
+
+/// The `recovery` suite on planted-200-k3: a cold solve in a fresh
+/// session versus a restart — the proven state is persisted through a
+/// real store (snapshot on disk), then a new session is rebuilt from a
+/// replay of that state dir and asked the same query. With an intact
+/// store the restart re-explores zero nodes; a silent recovery failure
+/// falls cold and trips the ceiling.
+fn recovery_suite(reps: usize) -> Vec<Case> {
+    const K: usize = 3;
+    let (name, g, _) = kdc_bench::collections::planted_snapshot_cases().remove(0);
+    let dir = kdc_graph::io::fresh_temp_dir("bench_recovery");
+    let state_dir = dir.join("state");
+    let graph_path = dir.join("bench.clq");
+    kdc_graph::io::write_dimacs(&g, &graph_path).expect("write graph file");
+    let content_hash =
+        kdc_store::content_hash(&std::fs::read(&graph_path).expect("reread graph file"));
+
+    // Cold reference: a fresh session proves the query from nothing.
+    let cold_session = Session::new(g.clone());
+    let reference = cold_session.solve(K);
+    assert!(
+        reference.is_optimal(),
+        "{name}: cold solve must prove k={K}"
+    );
+    let cold_nodes = reference.stats.nodes;
+    let cold_median = median_ns(reps, || {
+        let again = Session::new(g.clone()).solve(K);
+        assert_eq!(
+            again.stats.nodes, cold_nodes,
+            "{name}: cold node counts must be deterministic"
+        );
+    });
+
+    // Persist the proven state the way the daemon would — one snapshot in
+    // a real store — then restart from disk: replay, import, re-solve.
+    let state = cold_session.export_state();
+    let gs = export_graph_state(
+        "bench",
+        &graph_path.display().to_string(),
+        content_hash,
+        &state,
+    );
+    {
+        let (store, _) = Store::open(&state_dir).expect("create state dir");
+        store
+            .compact(std::slice::from_ref(&gs))
+            .expect("write snapshot");
     }
-    if failures.is_empty() {
-        println!("bench-snapshot check passed ({} cases)", baseline.len());
-        Ok(())
+
+    let (first, witnesses, memos) = warm_restart(&state_dir, &g, K);
+    assert!(
+        witnesses >= 1 && memos >= 1,
+        "{name}: restart must recover the persisted state \
+         (witnesses={witnesses} memos={memos})"
+    );
+    assert_eq!(first.status, reference.status, "{name}: status parity");
+    assert_eq!(
+        first.best(),
+        reference.best(),
+        "{name}: warm answer must be byte-identical to the cold solve"
+    );
+    // A memo hit replays the original proof's stats; the restarted search
+    // itself explored nothing.
+    let warm_reexplored = if first.cache.result_memo_hit {
+        0
     } else {
-        Err(failures.join("\n"))
-    }
+        first.stats.nodes
+    };
+    let ceiling = ((cold_nodes as f64) * REEXPLORE_CEILING) as u64;
+    assert!(
+        warm_reexplored < ceiling.max(1),
+        "{name}: warm restart re-explored {warm_reexplored} nodes, \
+         >= {:.0}% of the {cold_nodes} cold nodes",
+        REEXPLORE_CEILING * 100.0
+    );
+    let warm_median = median_ns(reps, || {
+        let (out, _, _) = warm_restart(&state_dir, &g, K);
+        assert!(
+            out.cache.result_memo_hit,
+            "{name}: the recovered memo must answer the warm solve"
+        );
+    });
+    std::fs::remove_dir_all(&dir).expect("remove the suite's scratch dir");
+
+    let size_key = format!("size_k{K}");
+    let size = reference.best().map_or(0, |w| w.len()) as u64;
+    vec![
+        Case {
+            name: format!("warm/{name}/restart-solve-k{K}"),
+            median_ns: warm_median,
+            runs: reps,
+            metrics: owned(&[
+                ("nodes", warm_reexplored),
+                ("cold_nodes", cold_nodes),
+                ("recovered_witnesses", witnesses),
+                ("recovered_memos", memos),
+                (&size_key, size),
+            ]),
+            rates: Vec::new(),
+        },
+        Case {
+            name: format!("cold/{name}/solve-k{K}"),
+            median_ns: cold_median,
+            runs: reps,
+            metrics: owned(&[("nodes", cold_nodes), (&size_key, size)]),
+            rates: Vec::new(),
+        },
+    ]
+}
+
+fn usage(error: &str) -> ! {
+    let names: Vec<&str> = SUITES.iter().map(|s| s.name).collect();
+    eprintln!(
+        "bench-snapshot: {error}\nusage: bench-snapshot [--check] [--reps N] [SUITE...] \
+         (suites: {})",
+        names.join(", ")
+    );
+    std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = DEFAULT_PATH.to_string();
     let mut check_mode = false;
     let mut reps = 5usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = args.get(i).expect("--out needs a path").clone();
-            }
-            "--check" => {
-                check_mode = true;
-                if let Some(path) = args.get(i + 1) {
-                    if !path.starts_with("--") {
-                        i += 1;
-                        out = path.clone();
-                    }
-                }
-            }
+    let mut selected: Vec<&Suite> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check" => check_mode = true,
             "--reps" => {
-                i += 1;
                 reps = args
-                    .get(i)
+                    .next()
                     .and_then(|r| r.parse().ok())
-                    .expect("--reps needs a positive integer");
-                assert!(reps > 0, "--reps needs a positive integer");
+                    .filter(|&r| r > 0)
+                    .unwrap_or_else(|| usage("--reps needs a positive integer"));
             }
-            other => panic!("unknown argument {other:?} (see --out/--check/--reps)"),
+            name => selected.push(
+                SUITES
+                    .iter()
+                    .find(|s| s.name == name)
+                    .unwrap_or_else(|| usage(&format!("unknown argument {name:?}"))),
+            ),
         }
-        i += 1;
+    }
+    if selected.is_empty() {
+        selected = SUITES.iter().collect();
     }
 
-    let cases = collect(reps);
-    if check_mode {
-        if let Err(e) = check(&out, &cases) {
-            eprintln!("bench-snapshot check FAILED:\n{e}");
-            std::process::exit(1);
+    let mut failed = false;
+    for suite in selected {
+        let cases = (suite.run)(reps);
+        if check_mode {
+            let verdict = std::fs::read_to_string(suite.file)
+                .map_err(|e| format!("cannot read baseline {}: {e}", suite.file))
+                .and_then(|text| snapshot::parse(&text))
+                .and_then(|baseline| snapshot::check(&baseline, &cases));
+            match verdict {
+                Ok(()) => println!("{} check passed against {}", suite.name, suite.file),
+                Err(e) => {
+                    eprintln!("{} check FAILED against {}:\n{e}", suite.name, suite.file);
+                    failed = true;
+                }
+            }
+        } else {
+            let overhead = suite.obs_overhead.then(|| measure_obs_overhead(reps));
+            let bench = suite.file.trim_end_matches(".json");
+            let text = snapshot::render(bench, suite.schema, overhead, &cases);
+            std::fs::write(suite.file, &text)
+                .unwrap_or_else(|e| panic!("cannot write {}: {e}", suite.file));
+            print!("{text}");
+            if let Some(o) = overhead {
+                println!(
+                    "observability overhead on {}: {:+.2}% \
+                     (enabled {} ns vs disabled {} ns, target <= 2%)",
+                    o.case,
+                    o.pct(),
+                    o.enabled_ns,
+                    o.disabled_ns
+                );
+            }
+            println!("wrote {} ({} cases)", suite.file, cases.len());
         }
-    } else {
-        let (enabled, disabled) = measure_obs_overhead(reps);
-        let pct = overhead_pct(enabled, disabled);
-        let text = render(&cases, Some((enabled, disabled)));
-        std::fs::write(&out, &text).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-        print!("{text}");
-        println!(
-            "observability overhead on planted-200-k3: {pct:+.2}% \
-             (enabled {enabled} ns vs disabled {disabled} ns, target <= 2%)"
-        );
-        println!("wrote {out} ({} cases)", cases.len());
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -1,7 +1,6 @@
 //! Rule-contribution ablation: how much work does each reduction rule and
-//! bound actually do inside kDC's search? (The design-choice ablation that
-//! DESIGN.md §2.2 calls out; complements the solved-count ablations of
-//! Figures 7/8 with per-rule activity counts.)
+//! bound actually do inside kDC's search? (Complements the solved-count
+//! ablations of Figures 7/8 with per-rule activity counts.)
 //!
 //! For each collection and k, aggregates over the solved instances:
 //! RR1/RR2/RR3/RR4/RR5 applications per search node and the share of nodes

@@ -1,5 +1,5 @@
 //! Synthetic benchmark collections standing in for the paper's three graph
-//! collections (see DESIGN.md §3 for the substitution rationale).
+//! collections, which are not redistributable here.
 //!
 //! * [`real_world_like`] — sparse power-law / Erdős–Rényi mixes covering the
 //!   size/density/degeneracy spread of the "real-world graphs" collection;
@@ -31,8 +31,8 @@ pub struct Collection {
     pub instances: Vec<Instance>,
 }
 
-/// Harness size: `Quick` for smoke runs and tests, `Full` for the numbers
-/// reported in EXPERIMENTS.md.
+/// Harness size: `Quick` for smoke runs and tests, `Full` for the
+/// full-scale experiment runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// A handful of small instances per collection.
@@ -52,7 +52,7 @@ impl Scale {
     }
 }
 
-/// The search-heavy planted cases of `bench-snapshot` (`BENCH_5.json`):
+/// The search-heavy planted cases of `bench-snapshot` (`BENCH_6.json`):
 /// `(name, graph, k)` triples whose noise is tuned so preprocessing leaves
 /// a real branch-and-bound search. The single source of these generator
 /// parameters — the snapshot bin and the `engine` criterion bench must

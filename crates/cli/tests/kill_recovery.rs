@@ -10,19 +10,12 @@
 //! ephemeral port.
 
 use std::io::{BufRead, BufReader, Read};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 fn kdc_bin() -> &'static str {
     env!("CARGO_BIN_EXE_kdc")
-}
-
-/// Scratch directory for this test process (state dir + graph file).
-fn scratch() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kdc_kill_recovery_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// A spawned daemon plus its parsed listen address.
@@ -101,7 +94,7 @@ fn metric(reply: &str, name: &str) -> u64 {
 
 #[test]
 fn sigkill_daemon_recovers_state_and_reuses_proofs() {
-    let dir = scratch();
+    let dir = kdc_graph::io::fresh_temp_dir("kill_recovery");
     let state_dir = dir.join("state");
     let graph_path = dir.join("planted.clq");
     let (graph, _planted) = kdc_graph::gen::planted_defective_clique(

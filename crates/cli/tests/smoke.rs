@@ -30,9 +30,7 @@ fn stdout(out: &Output) -> String {
 fn sample_graph() -> PathBuf {
     static PATH: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
     PATH.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("kdc_cli_smoke_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("figure2.clq");
+        let path = kdc_graph::io::fresh_temp_dir("cli_smoke").join("figure2.clq");
         kdc_graph::io::write_dimacs(&kdc_graph::named::figure2(), &path).unwrap();
         path
     })
@@ -137,9 +135,7 @@ fn solve_stats_prints_reduction_counters() {
 fn hard_graph() -> PathBuf {
     static PATH: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
     PATH.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("kdc_cli_smoke_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("hard.clq");
+        let path = kdc_graph::io::fresh_temp_dir("cli_smoke").join("hard.clq");
         let mut rng = kdc_graph::gen::seeded_rng(99);
         let g = kdc_graph::gen::gnp(150, 0.6, &mut rng);
         kdc_graph::io::write_dimacs(&g, &path).unwrap();

@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates on three collections of real graphs that are not
 //! redistributable here; these generators produce the synthetic stand-ins
-//! described in DESIGN.md §3. All generators are deterministic given the
-//! caller-supplied RNG.
+//! that `kdc_bench::collections` assembles. All generators are
+//! deterministic given the caller-supplied RNG.
 
 use crate::graph::{Graph, VertexId};
 use rand::rngs::SmallRng;
