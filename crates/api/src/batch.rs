@@ -3,12 +3,12 @@
 //! A [`Query::Batch`](crate::Query::Batch) carries a list of [`SubQuery`]s
 //! — typically a k-sweep (`k = 0..=K`) over one resident graph — and this
 //! module answers all of them as *one* execution instead of a loop around
-//! [`Session::run_with`]:
+//! [`Session::run`]:
 //!
-//! * [`BatchPlan`] groups the sub-queries by algorithm (preset), orders
-//!   each group's entries by ascending `k` and deduplicates identical
+//! * The plan groups the sub-queries by algorithm (preset), orders each
+//!   group's entries by ascending `k` and deduplicates identical
 //!   sub-queries up front (every duplicate still receives its own answer).
-//! * [`BatchExec`] drives the plan: each proven optimum becomes a witness
+//! * The executor drives the plan: each proven optimum becomes a witness
 //!   seed and a cross-`k` bound for the entries still to run. A witness
 //!   for `k' ≤ k` is feasible at `k`, so it seeds the incumbent; and
 //!   `opt(k) ≤ opt(k') ≤ opt(k) + (k' − k)` for `k ≤ k'` (drop a vertex
@@ -32,8 +32,8 @@
 //! registry series.
 
 use crate::query::{Budget, CacheInfo, Event, Observer, Options, Outcome};
-use crate::session::{apply_budget, flush_solve_metrics, CtcpKey, Session, SolveKey};
-use kdc::{decompose, EventHook, Solver, Status};
+use crate::session::{Counter, Session, Sweep};
+use kdc::Status;
 use kdc_graph::VertexId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -104,20 +104,17 @@ struct PlanGroup {
 /// same `k`) and deduplicated. Built eagerly so an unknown preset fails
 /// before any work runs.
 #[derive(Clone, Debug)]
-pub struct BatchPlan {
+struct BatchPlan {
     groups: Vec<PlanGroup>,
     total: usize,
 }
 
 impl BatchPlan {
     /// Plans `subs` under `default_options` (inherited by sub-queries
-    /// without a preset of their own).
-    ///
-    /// # Errors
-    ///
-    /// Fails on an empty batch, on a sub-query with `r = Some(0)`, or on
-    /// an unknown preset name (validated here, not mid-sweep).
-    pub fn new(subs: &[SubQuery], default_options: &Options) -> Result<Self, String> {
+    /// without a preset of their own). Fails on an empty batch, on a
+    /// sub-query with `r = Some(0)`, or on an unknown preset name
+    /// (validated here, not mid-sweep).
+    fn new(subs: &[SubQuery], default_options: &Options) -> Result<Self, String> {
         if subs.is_empty() {
             return Err("batch query must contain at least one sub-query".to_string());
         }
@@ -159,17 +156,6 @@ impl BatchPlan {
             groups,
             total: subs.len(),
         })
-    }
-
-    /// Number of input sub-queries this plan answers.
-    pub fn sub_queries(&self) -> usize {
-        self.total
-    }
-
-    /// Number of searches the plan will actually run (post-dedup; memo
-    /// hits at execution time may reduce it further).
-    pub fn planned_solves(&self) -> usize {
-        self.groups.iter().map(|g| g.entries.len()).sum()
     }
 }
 
@@ -229,8 +215,10 @@ impl BatchOutcome {
 /// Executes a [`BatchPlan`] against one [`Session`]. Holds the batch-local
 /// state the sweep accumulates: the best feasible witness per `k`, the
 /// proven optimum sizes (pre-seeded from the session's result memo), the
-/// shared deadline and the honest shared-work counters.
-pub struct BatchExec<'a> {
+/// shared deadline and the honest shared-work counters. Of the budget, the
+/// time limit is batch-wide, the node limit applies per sub-solve and
+/// cancellation aborts the whole batch as one unit.
+struct BatchExec<'a> {
     session: &'a Session,
     budget: &'a Budget,
     observer: Option<Arc<dyn Observer>>,
@@ -248,55 +236,13 @@ pub struct BatchExec<'a> {
     dedups: u64,
 }
 
-impl<'a> BatchExec<'a> {
-    /// A fresh executor over `session`, spending `budget` (the time limit
-    /// is batch-wide; the node limit applies per sub-solve; cancellation
-    /// aborts the whole batch as one unit).
-    pub fn new(session: &'a Session, budget: &'a Budget) -> Self {
-        let t0 = Instant::now();
-        BatchExec {
-            session,
-            budget,
-            observer: None,
-            trace: None,
-            t0,
-            deadline: budget.time_limit.map(|d| t0 + d),
-            feasible: BTreeMap::new(),
-            proven: BTreeMap::new(),
-            shares: 0,
-            seeds: 0,
-            dedups: 0,
-        }
-    }
-
-    /// Streams [`Event`]s ([`Event::SubDone`] per sub-query plus the inner
-    /// solves' incumbent/retighten/restart events) to `observer`.
-    #[must_use]
-    pub fn with_observer(mut self, observer: Option<Arc<dyn Observer>>) -> Self {
-        self.observer = observer;
-        self
-    }
-
-    /// Collects phase spans of the sub-solves into `trace`'s ring.
-    #[must_use]
-    pub fn with_trace(mut self, trace: Option<kdc_obs::Tracer>) -> Self {
-        self.trace = trace;
-        self
-    }
-
+impl BatchExec<'_> {
     /// Runs the plan to completion and returns the per-sub-query answers
-    /// plus shared-work counters. Also folds the counters into the session
-    /// atomics and their `kdc_session_batch_*` registry twins.
-    ///
-    /// # Errors
-    ///
+    /// plus shared-work counters, also folded into the session counters.
     /// Fails only on invalid options (possible when the plan was built
     /// from an `Options` deserialized outside [`Options::preset`]);
     /// exhausted budgets come back as per-sub-query statuses.
-    pub fn run(mut self, plan: &BatchPlan) -> Result<BatchOutcome, String> {
-        for (k, size) in self.session.memoized_optimal_sizes() {
-            self.proven.insert(k, size);
-        }
+    fn run(mut self, plan: &BatchPlan) -> Result<BatchOutcome, String> {
         let mut outcomes: Vec<Option<Outcome>> = vec![None; plan.total];
         for group in &plan.groups {
             for entry in &group.entries {
@@ -322,8 +268,9 @@ impl<'a> BatchExec<'a> {
                 }
             }
         }
-        self.session
-            .note_batch_shared_work(self.shares, self.seeds, self.dedups);
+        self.session.bump(Counter::BatchCtcpShares, self.shares);
+        self.session.bump(Counter::BatchWitnessSeeds, self.seeds);
+        self.session.bump(Counter::BatchMemoDedups, self.dedups);
         Ok(BatchOutcome {
             // kdc-lint: allow(no_panic) — every input index belongs to
             // exactly one plan entry, so every slot was filled above.
@@ -360,127 +307,56 @@ impl<'a> BatchExec<'a> {
         }
     }
 
-    /// One maximum-solve entry: memo dedup, cross-`k` seed + cap, shared
-    /// reducer tightening, then the search itself.
+    /// One maximum-solve entry: the session's solve plus this sweep's
+    /// shared bounds, cross-`k` seed and cap. A memo answer counts as a
+    /// dedup; either way the witness feeds the rest of the sweep.
     fn run_solve(&mut self, group: &PlanGroup, k: usize) -> Result<Outcome, String> {
-        let t0 = Instant::now();
-        let memo_key = group.options.memo_preset().map(|preset| SolveKey {
-            k,
-            preset: preset.to_string(),
-        });
-        if let Some(key) = &memo_key {
-            if let Some(solution) = self.session.cached_result(key) {
-                // Answered by the proven-optimal memo: no search of its
-                // own, but its witness still feeds the sweep.
-                self.dedups += 1;
-                self.note_proven(k, &solution.vertices);
-                return Ok(Outcome {
-                    witnesses: vec![solution.vertices],
-                    counts: None,
-                    status: solution.status,
-                    stats: solution.stats,
-                    cache: CacheInfo {
-                        result_memo_hit: true,
-                        ..CacheInfo::default()
-                    },
-                    elapsed: t0.elapsed(),
-                });
-            }
-        }
-        let mut config = group.options.resolve()?;
-        apply_budget(&mut config, &self.sub_budget());
-        config.trace = self.trace.clone();
-        config.shared_peeling = Some(self.session.peeling());
-        let (ctcp, ctcp_resumed) = self.session.ctcp_state(CtcpKey {
-            k,
-            core_rule: config.enable_rr5,
-            truss_rule: config.enable_rr6,
-        });
-        // The shared-universe pass: fold every witness size this batch has
-        // produced at k' ≤ k into the resident reducer, unsorted and with
-        // whatever duplicates accumulated — `tighten_batch` reduces by
-        // maximum. The schedule never exceeds the seed installed below, so
-        // the solver's `resident reducer lb ≤ initial lb` invariant holds
-        // and the tightening only discards solutions the seed already
-        // dominates.
-        let schedule: Vec<usize> = self
+        // The shared-universe pass folds every witness size this batch has
+        // produced at k' <= k into the resident reducer.
+        let schedule = self
             .feasible
             .range(..=k)
             .map(|(_, w)| w.len())
             .filter(|&s| s > 0)
             .collect();
-        if !schedule.is_empty() {
-            ctcp.lock()
-                .map_err(std::sync::PoisonError::into_inner)
-                .unwrap_or_else(|g| g)
-                .tighten_batch(&schedule);
-            self.shares += 1;
-        }
-        config.shared_ctcp = Some(ctcp);
-        // Seed: the larger of the session's best known witness and the
-        // best feasible witness this batch produced at any k' ≤ k. The
-        // batch counter only fires when the batch strictly beat the
-        // session's prior knowledge.
-        let session_seed = self.session.best_known(k);
-        let batch_seed = self.batch_seed(k);
-        let session_len = session_seed.as_ref().map_or(0, Vec::len);
-        let seed = match batch_seed {
-            Some(w) if w.len() > session_len => {
-                self.seeds += 1;
-                Some(w)
-            }
-            _ => session_seed,
-        };
-        let seeded = seed.is_some();
-        config.seed_solution = seed;
         // Cap: every proven optimum bounds this k. Backwards, optima are
         // monotone (`opt(k) ≤ opt(k0)` for `k ≤ k0`); forwards, removing a
         // vertex incident to a missing edge gives `opt(k) ≤ opt(k0) + (k −
         // k0)`. The cap is checked only against the incumbent — never used
         // for pruning — so the reported witness matches an uncapped run.
-        config.known_ub = self
+        let known_ub = self
             .proven
             .iter()
             .map(|(&k0, &s0)| if k >= k0 { s0 + (k - k0) } else { s0 })
             .min();
-        if let Some(obs) = self.observer.clone() {
-            config.on_event = Some(EventHook::new(move |e| {
-                obs.event(&Event::from_solve(e));
-            }));
-        }
-        self.session.note_real_solve();
-        let solution = if self.budget.threads == 1 {
-            Solver::new(self.session.graph(), k, config).solve()
-        } else {
-            let threads = Session::clamped_threads(self.budget);
-            decompose::solve_decomposed(self.session.graph(), k, config, threads)
+        let mut sweep = Sweep {
+            schedule,
+            seed: self.batch_seed(k),
+            known_ub,
+            shared: false,
+            seeded: false,
         };
-        self.session.record_best_known(k, &solution.vertices);
-        flush_solve_metrics(
-            group.options.preset_name(),
-            &solution.stats,
-            t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-        );
-        self.note_feasible(k, &solution.vertices);
-        if solution.is_optimal() {
-            self.note_proven(k, &solution.vertices);
-            if let Some(key) = memo_key {
-                self.session.memoize_result(key, solution.clone());
-            }
+        let outcome = self.session.solve_max(
+            k,
+            &self.sub_budget(),
+            &group.options,
+            self.observer.clone(),
+            self.trace.clone(),
+            Some(&mut sweep),
+        )?;
+        let (shared, seeded) = (sweep.shared, sweep.seeded);
+        self.shares += u64::from(shared);
+        self.seeds += u64::from(seeded);
+        if outcome.cache.result_memo_hit {
+            self.dedups += 1;
         }
-        Ok(Outcome {
-            witnesses: vec![solution.vertices],
-            counts: None,
-            status: solution.status,
-            stats: solution.stats,
-            cache: CacheInfo {
-                result_memo_hit: false,
-                ctcp_resumed,
-                peeling_shared: true,
-                seeded,
-            },
-            elapsed: t0.elapsed(),
-        })
+        let best = outcome.best().unwrap_or_default();
+        if outcome.is_optimal() {
+            self.note_proven(k, best);
+        } else {
+            self.note_feasible(k, best);
+        }
+        Ok(outcome)
     }
 
     /// One top-`r` enumeration entry: runs uncapped and unseeded (a
@@ -497,13 +373,12 @@ impl<'a> BatchExec<'a> {
     }
 
     /// The best feasible witness this batch produced at any `k' ≤ k`.
-    fn batch_seed(&self, k: usize) -> Option<Vec<VertexId>> {
+    fn batch_seed(&self, k: usize) -> Option<&[VertexId]> {
         self.feasible
             .range(..=k)
-            .map(|(_, w)| w)
+            .map(|(_, w)| w.as_slice())
             .max_by_key(|w| w.len())
             .filter(|w| !w.is_empty())
-            .cloned()
     }
 
     /// Records a batch-produced feasible witness for `k` (kept only when
@@ -543,6 +418,7 @@ impl<'a> BatchExec<'a> {
     fn cut_short(&self, k: usize, status: Status) -> Outcome {
         let witness = self
             .batch_seed(k)
+            .map(<[VertexId]>::to_vec)
             .or_else(|| self.session.best_known(k))
             .unwrap_or_default();
         Outcome {
@@ -559,7 +435,7 @@ impl<'a> BatchExec<'a> {
 impl Session {
     /// Answers a batch of sub-queries as one planned sweep. See the
     /// [module docs](self) for what is shared across the batch; see
-    /// [`Session::run_batch_with`] for the observer-carrying variant.
+    /// [`Session::run_batch_observed`] for the observer-carrying variant.
     ///
     /// # Errors
     ///
@@ -572,28 +448,13 @@ impl Session {
         budget: &Budget,
         options: &Options,
     ) -> Result<BatchOutcome, String> {
-        self.run_batch_with(subs, budget, options, None)
+        self.run_batch_observed(subs, budget, options, None, None)
     }
 
-    /// [`Session::run_batch`], streaming [`Event`]s to `observer`: the
+    /// [`Session::run_batch`], streaming [`Event`]s to `observer` (the
     /// inner solves' incumbent/retighten/restart events plus one
-    /// [`Event::SubDone`] per input sub-query in completion order.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Session::run_batch`].
-    pub fn run_batch_with(
-        &self,
-        subs: &[SubQuery],
-        budget: &Budget,
-        options: &Options,
-        observer: Option<Arc<dyn Observer>>,
-    ) -> Result<BatchOutcome, String> {
-        self.run_batch_observed(subs, budget, options, observer, None)
-    }
-
-    /// [`Session::run_batch_with`] plus an optional [`kdc_obs::Tracer`]
-    /// collecting the sub-solves' phase spans.
+    /// [`Event::SubDone`] per input sub-query in completion order) and
+    /// collecting the sub-solves' phase spans into `trace`.
     ///
     /// # Errors
     ///
@@ -607,10 +468,21 @@ impl Session {
         trace: Option<kdc_obs::Tracer>,
     ) -> Result<BatchOutcome, String> {
         let plan = BatchPlan::new(subs, options)?;
-        BatchExec::new(self, budget)
-            .with_observer(observer)
-            .with_trace(trace)
-            .run(&plan)
+        let t0 = Instant::now();
+        let exec = BatchExec {
+            session: self,
+            budget,
+            observer,
+            trace,
+            t0,
+            deadline: budget.time_limit.map(|d| t0 + d),
+            feasible: BTreeMap::new(),
+            proven: self.memoized_optimal_sizes(),
+            shares: 0,
+            seeds: 0,
+            dedups: 0,
+        };
+        exec.run(&plan)
     }
 }
 
@@ -635,8 +507,9 @@ mod tests {
             SubQuery::solve(1).with_r(2),
         ];
         let plan = BatchPlan::new(&subs, &Options::default()).unwrap();
-        assert_eq!(plan.sub_queries(), 5);
-        assert_eq!(plan.planned_solves(), 4, "the duplicate k=3 merges");
+        assert_eq!(plan.total, 5);
+        let planned: usize = plan.groups.iter().map(|g| g.entries.len()).sum();
+        assert_eq!(planned, 4, "the duplicate k=3 merges");
         // Default group first, ascending k, solve before enumeration at
         // equal k; the kdc_t override forms its own group.
         assert_eq!(plan.groups.len(), 2);
@@ -714,7 +587,7 @@ mod tests {
         let sink = seen.clone();
         let subs = vec![SubQuery::solve(2), SubQuery::solve(0), SubQuery::solve(2)];
         let batch = session
-            .run_batch_with(
+            .run_batch_observed(
                 &subs,
                 &Budget::default(),
                 &Options::default(),
@@ -723,6 +596,7 @@ mod tests {
                         sink.lock().unwrap().push((index, k));
                     }
                 })),
+                None,
             )
             .unwrap();
         // Sweep order is ascending k; both duplicates of k=2 get their own
@@ -764,5 +638,28 @@ mod tests {
         assert!(outcome.is_optimal());
         let sizes: Vec<usize> = outcome.witnesses.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![5, 5, 6], "figure2 optima for k=0,1,2");
+    }
+
+    #[test]
+    fn folded_batch_counts_each_search_once() {
+        let mut rng = gen::seeded_rng(77);
+        let (g, _) = gen::planted_defective_clique(120, 10, 2, 0.05, &mut rng);
+        let subs = vec![SubQuery::solve(3), SubQuery::solve(3)];
+        let (budget, options) = (Budget::default(), Options::default());
+        let batch = Session::new(g.clone())
+            .run_batch(&subs, &budget, &options)
+            .unwrap();
+        assert!(batch.total_nodes() > 0, "the instance must need a search");
+
+        let session = Session::new(g);
+        let query = Query::Batch(subs);
+        let folded = session.run(&query, &budget, &options).unwrap();
+        assert_eq!(
+            folded.stats.nodes,
+            batch.total_nodes(),
+            "the fan-out copy must not count again"
+        );
+        let rerun = session.run(&query, &budget, &options).unwrap();
+        assert_eq!(rerun.stats.nodes, 0, "memo answers search nothing");
     }
 }

@@ -84,6 +84,6 @@ pub mod batch;
 pub mod query;
 pub mod session;
 
-pub use batch::{BatchExec, BatchOutcome, BatchPlan, SubQuery};
+pub use batch::{BatchOutcome, SubQuery};
 pub use query::{Budget, CacheInfo, Event, Observer, Options, Outcome, Query};
 pub use session::{CtcpKey, Session, SessionCounters, SessionState, SolveKey};

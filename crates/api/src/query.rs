@@ -44,8 +44,8 @@ pub enum Query {
         /// Smallest size to count.
         min_size: usize,
     },
-    /// A batch of sub-queries answered in one planned pass: the
-    /// [`crate::BatchPlan`] groups them by preset/rule set, sweeps each
+    /// A batch of sub-queries answered in one planned pass: the planner
+    /// groups them by preset/rule set, sweeps each
     /// group's k values ascending so every optimum witness seeds (and its
     /// adjacent-k bound caps) the next solve, shares one merged
     /// lower-bound schedule per reducer and fans duplicate sub-queries out
@@ -278,7 +278,8 @@ impl Event {
 
 /// Receives [`Event`]s during a query. Implemented for any
 /// `Fn(&Event) + Send + Sync` closure, so
-/// `session.run_with(q, b, o, Some(Arc::new(|e: &Event| ...)))` just works.
+/// `session.run_observed(q, b, o, Some(Arc::new(|e: &Event| ...)), None)`
+/// just works.
 pub trait Observer: Send + Sync {
     /// Called once per event, in emission order.
     fn event(&self, event: &Event);

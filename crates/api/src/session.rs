@@ -6,7 +6,7 @@ use kdc::{bound, counting, decompose, topr, EventHook, Solution, Solver};
 use kdc_graph::ctcp::Ctcp;
 use kdc_graph::degeneracy::{self, Peeling};
 use kdc_graph::{Graph, VertexId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -21,47 +21,61 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Process-global registry twins of the [`SessionCounters`] plus the solve
+/// Every counted fact of a [`Session`], in `STATS` order. One enum indexes
+/// both the session's atomics and their registry twins, so a counter is
+/// defined once and bumped once ([`Session::bump`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Counter {
+    PeelBuilds,
+    Solves,
+    ResultHits,
+    CtcpBuilds,
+    CtcpResumes,
+    CtcpEvictions,
+    MemoEvictions,
+    RecoveredWitnesses,
+    RecoveredMemos,
+    BatchCtcpShares,
+    BatchWitnessSeeds,
+    BatchMemoDedups,
+}
+
+const COUNTERS: usize = Counter::BatchMemoDedups as usize + 1;
+
+/// Process-global registry twins of the [`Counter`]s plus the solve
 /// telemetry series. Handles are registered once and shared by every
 /// session in the process: the per-session atomics stay the source of truth
-/// for warm-vs-cold assertions, while these aggregate across sessions for
+/// for warm-vs-cold assertions and `STATS` (a registry counter is a no-op
+/// while observability is off), while these aggregate across sessions for
 /// the `METRICS` exposition.
-pub(crate) struct SessionObs {
-    peel_builds: kdc_obs::Counter,
-    pub(crate) solves: kdc_obs::Counter,
-    result_hits: kdc_obs::Counter,
-    ctcp_builds: kdc_obs::Counter,
-    ctcp_resumes: kdc_obs::Counter,
-    ctcp_evictions: kdc_obs::Counter,
-    memo_evictions: kdc_obs::Counter,
-    recovered_witnesses: kdc_obs::Counter,
-    recovered_memos: kdc_obs::Counter,
-    pub(crate) batch_ctcp_shares: kdc_obs::Counter,
-    pub(crate) batch_witness_seeds: kdc_obs::Counter,
-    pub(crate) batch_memo_dedups: kdc_obs::Counter,
+struct SessionObs {
+    counters: [kdc_obs::Counter; COUNTERS],
     solve_ns: kdc_obs::Histogram,
     bound_invocations: [kdc_obs::Counter; bound::COUNT],
     bound_prunes: [kdc_obs::Counter; bound::COUNT],
     bound_ns: [kdc_obs::Counter; bound::COUNT],
 }
 
-pub(crate) fn session_obs() -> &'static SessionObs {
+fn session_obs() -> &'static SessionObs {
     static OBS: OnceLock<SessionObs> = OnceLock::new();
     OBS.get_or_init(|| {
         let r = kdc_obs::registry();
         SessionObs {
-            peel_builds: r.register_counter("kdc_session_peel_builds_total"),
-            solves: r.register_counter("kdc_session_solves_total"),
-            result_hits: r.register_counter("kdc_session_result_hits_total"),
-            ctcp_builds: r.register_counter("kdc_session_ctcp_builds_total"),
-            ctcp_resumes: r.register_counter("kdc_session_ctcp_resumes_total"),
-            ctcp_evictions: r.register_counter("kdc_session_ctcp_evictions_total"),
-            memo_evictions: r.register_counter("kdc_session_memo_evictions_total"),
-            recovered_witnesses: r.register_counter("kdc_session_recovered_witnesses_total"),
-            recovered_memos: r.register_counter("kdc_session_recovered_memos_total"),
-            batch_ctcp_shares: r.register_counter("kdc_session_batch_ctcp_shares_total"),
-            batch_witness_seeds: r.register_counter("kdc_session_batch_witness_seeds_total"),
-            batch_memo_dedups: r.register_counter("kdc_session_batch_memo_dedups_total"),
+            // Indexed by `Counter`: keep the two lists in the same order.
+            counters: [
+                r.register_counter("kdc_session_peel_builds_total"),
+                r.register_counter("kdc_session_solves_total"),
+                r.register_counter("kdc_session_result_hits_total"),
+                r.register_counter("kdc_session_ctcp_builds_total"),
+                r.register_counter("kdc_session_ctcp_resumes_total"),
+                r.register_counter("kdc_session_ctcp_evictions_total"),
+                r.register_counter("kdc_session_memo_evictions_total"),
+                r.register_counter("kdc_session_recovered_witnesses_total"),
+                r.register_counter("kdc_session_recovered_memos_total"),
+                r.register_counter("kdc_session_batch_ctcp_shares_total"),
+                r.register_counter("kdc_session_batch_witness_seeds_total"),
+                r.register_counter("kdc_session_batch_memo_dedups_total"),
+            ],
             solve_ns: r.register_histogram("kdc_session_solve_duration_ns"),
             bound_invocations: std::array::from_fn(|i| {
                 r.register_counter_labeled(
@@ -78,24 +92,6 @@ pub(crate) fn session_obs() -> &'static SessionObs {
             }),
         }
     })
-}
-
-/// Publishes one finished solve's telemetry to the global registry: the
-/// latency sample, per-preset node count and per-bound cost columns.
-pub(crate) fn flush_solve_metrics(preset: &str, stats: &kdc::SearchStats, elapsed_ns: u64) {
-    if !kdc_obs::enabled() {
-        return;
-    }
-    let obs = session_obs();
-    obs.solve_ns.observe(elapsed_ns);
-    kdc_obs::registry()
-        .register_counter_labeled("kdc_session_nodes_total", "preset", preset)
-        .add(stats.nodes);
-    for (i, bc) in stats.bound_costs.iter().enumerate() {
-        obs.bound_invocations[i].add(bc.invocations);
-        obs.bound_prunes[i].add(bc.prunes);
-        obs.bound_ns[i].add(bc.ns);
-    }
 }
 
 /// Workers may not spawn unbounded decomposition threads on a caller's
@@ -169,6 +165,44 @@ pub struct SessionCounters {
     pub recovered_memos: u64,
 }
 
+impl SessionCounters {
+    /// Every counter as a `(name, value)` pair, in the daemon's `STATS`
+    /// order (the `batch_*` counters last).
+    pub fn fields(&self) -> [(&'static str, u64); 12] {
+        [
+            ("peel_builds", self.peel_builds),
+            ("solves", self.solves),
+            ("result_hits", self.result_hits),
+            ("ctcp_builds", self.ctcp_builds),
+            ("ctcp_resumes", self.ctcp_resumes),
+            ("ctcp_evictions", self.ctcp_evictions),
+            ("memo_evictions", self.memo_evictions),
+            ("recovered_witnesses", self.recovered_witnesses),
+            ("recovered_memos", self.recovered_memos),
+            ("batch_ctcp_shares", self.batch_ctcp_shares),
+            ("batch_witness_seeds", self.batch_witness_seeds),
+            ("batch_memo_dedups", self.batch_memo_dedups),
+        ]
+    }
+}
+
+/// What a batch sweep adds to one maximum solve (see [`Session::solve_max`]).
+pub(crate) struct Sweep<'a> {
+    /// Witness sizes the sweep produced at `k' ≤ k`, folded into the
+    /// resident reducer by one `tighten_batch` pass (it reduces by maximum,
+    /// so order and duplicates do not matter). No entry exceeds `seed`.
+    pub(crate) schedule: Vec<usize>,
+    /// The sweep's best feasible witness at `k' ≤ k`; it seeds the solve
+    /// only when strictly longer than the session's best known witness.
+    pub(crate) seed: Option<&'a [VertexId]>,
+    /// Proven upper bound on the optimum (see [`kdc::SolverConfig::known_ub`]).
+    pub(crate) known_ub: Option<usize>,
+    /// Set by the solve when the reducer consumed a non-empty `schedule`.
+    pub(crate) shared: bool,
+    /// Set by the solve when `seed` replaced the session's witness.
+    pub(crate) seeded: bool,
+}
+
 /// The exportable warm state of a [`Session`]: everything the durable
 /// store persists and recovery feeds back through
 /// [`Session::import_state`]. Witnesses are `(k, vertices)` pairs; memos
@@ -229,18 +263,7 @@ pub struct Session {
     ctcp: Mutex<CtcpCache>,
     results: Mutex<MemoCache>,
     best_known: Mutex<HashMap<usize, Vec<VertexId>>>,
-    peel_builds: AtomicU64,
-    solves: AtomicU64,
-    result_hits: AtomicU64,
-    ctcp_builds: AtomicU64,
-    ctcp_resumes: AtomicU64,
-    ctcp_evictions: AtomicU64,
-    memo_evictions: AtomicU64,
-    recovered_witnesses: AtomicU64,
-    recovered_memos: AtomicU64,
-    batch_ctcp_shares: AtomicU64,
-    batch_witness_seeds: AtomicU64,
-    batch_memo_dedups: AtomicU64,
+    counters: [AtomicU64; COUNTERS],
 }
 
 impl std::fmt::Debug for Session {
@@ -276,18 +299,7 @@ impl Session {
                 map: HashMap::new(),
             }),
             best_known: Mutex::new(HashMap::new()),
-            peel_builds: AtomicU64::new(0),
-            solves: AtomicU64::new(0),
-            result_hits: AtomicU64::new(0),
-            ctcp_builds: AtomicU64::new(0),
-            ctcp_resumes: AtomicU64::new(0),
-            ctcp_evictions: AtomicU64::new(0),
-            memo_evictions: AtomicU64::new(0),
-            recovered_witnesses: AtomicU64::new(0),
-            recovered_memos: AtomicU64::new(0),
-            batch_ctcp_shares: AtomicU64::new(0),
-            batch_witness_seeds: AtomicU64::new(0),
-            batch_memo_dedups: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -322,8 +334,7 @@ impl Session {
         memo.cap = cap;
         while memo.map.len() > cap {
             evict_lru_memo(&mut memo);
-            self.memo_evictions.fetch_add(1, Ordering::Relaxed);
-            session_obs().memo_evictions.inc();
+            self.bump(Counter::MemoEvictions, 1);
         }
         drop(memo);
         self
@@ -339,8 +350,7 @@ impl Session {
     pub fn peeling(&self) -> Arc<Peeling> {
         self.peeling
             .get_or_init(|| {
-                self.peel_builds.fetch_add(1, Ordering::Relaxed);
-                session_obs().peel_builds.inc();
+                self.bump(Counter::PeelBuilds, 1);
                 Arc::new(degeneracy::peel(&self.graph))
             })
             .clone()
@@ -353,20 +363,27 @@ impl Session {
 
     /// A snapshot of the usage counters.
     pub fn counters(&self) -> SessionCounters {
+        let get = |c: Counter| self.counters[c as usize].load(Ordering::Relaxed);
         SessionCounters {
-            peel_builds: self.peel_builds.load(Ordering::Relaxed),
-            solves: self.solves.load(Ordering::Relaxed),
-            result_hits: self.result_hits.load(Ordering::Relaxed),
-            ctcp_builds: self.ctcp_builds.load(Ordering::Relaxed),
-            ctcp_resumes: self.ctcp_resumes.load(Ordering::Relaxed),
-            ctcp_evictions: self.ctcp_evictions.load(Ordering::Relaxed),
-            batch_ctcp_shares: self.batch_ctcp_shares.load(Ordering::Relaxed),
-            batch_witness_seeds: self.batch_witness_seeds.load(Ordering::Relaxed),
-            batch_memo_dedups: self.batch_memo_dedups.load(Ordering::Relaxed),
-            memo_evictions: self.memo_evictions.load(Ordering::Relaxed),
-            recovered_witnesses: self.recovered_witnesses.load(Ordering::Relaxed),
-            recovered_memos: self.recovered_memos.load(Ordering::Relaxed),
+            peel_builds: get(Counter::PeelBuilds),
+            solves: get(Counter::Solves),
+            result_hits: get(Counter::ResultHits),
+            ctcp_builds: get(Counter::CtcpBuilds),
+            ctcp_resumes: get(Counter::CtcpResumes),
+            ctcp_evictions: get(Counter::CtcpEvictions),
+            memo_evictions: get(Counter::MemoEvictions),
+            recovered_witnesses: get(Counter::RecoveredWitnesses),
+            recovered_memos: get(Counter::RecoveredMemos),
+            batch_ctcp_shares: get(Counter::BatchCtcpShares),
+            batch_witness_seeds: get(Counter::BatchWitnessSeeds),
+            batch_memo_dedups: get(Counter::BatchMemoDedups),
         }
+    }
+
+    /// Adds `n` to one counter, on the session and its registry twin.
+    pub(crate) fn bump(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+        session_obs().counters[counter as usize].add(n);
     }
 
     /// Exports the session's warm state — best-known witnesses and the
@@ -428,15 +445,8 @@ impl Session {
             self.memoize_result(key.clone(), solution.clone());
             memos += 1;
         }
-        if witnesses > 0 {
-            self.recovered_witnesses
-                .fetch_add(witnesses, Ordering::Relaxed);
-            session_obs().recovered_witnesses.add(witnesses);
-        }
-        if memos > 0 {
-            self.recovered_memos.fetch_add(memos, Ordering::Relaxed);
-            session_obs().recovered_memos.add(memos);
-        }
+        self.bump(Counter::RecoveredWitnesses, witnesses);
+        self.bump(Counter::RecoveredMemos, memos);
         (witnesses, memos)
     }
 
@@ -449,7 +459,7 @@ impl Session {
     /// the stored witness. Witnesses come straight out of the solver, so
     /// they are trusted here (and re-validated by the solver when seeded
     /// back in).
-    pub(crate) fn record_best_known(&self, k: usize, vertices: &[VertexId]) {
+    fn record_best_known(&self, k: usize, vertices: &[VertexId]) {
         let mut map = lock_unpoisoned(&self.best_known);
         let entry = map.entry(k).or_default();
         if vertices.len() > entry.len() {
@@ -459,7 +469,7 @@ impl Session {
 
     /// A memoized proven-optimal result for `key`, if any. A hit refreshes
     /// the entry's LRU stamp.
-    pub(crate) fn cached_result(&self, key: &SolveKey) -> Option<Solution> {
+    fn cached_result(&self, key: &SolveKey) -> Option<Solution> {
         let mut memo = lock_unpoisoned(&self.results);
         memo.tick += 1;
         let tick = memo.tick;
@@ -469,8 +479,7 @@ impl Session {
         });
         drop(memo);
         if found.is_some() {
-            self.result_hits.fetch_add(1, Ordering::Relaxed);
-            session_obs().result_hits.inc();
+            self.bump(Counter::ResultHits, 1);
         }
         found
     }
@@ -478,18 +487,16 @@ impl Session {
     /// The resident CTCP reducer for `key`, built on first use and resumed
     /// from then on; returns `(reducer, resumed)`. Evicts the
     /// least-recently-used slot when the cache is full.
-    pub(crate) fn ctcp_state(&self, key: CtcpKey) -> (Arc<Mutex<Ctcp>>, bool) {
+    fn ctcp_state(&self, key: CtcpKey) -> (Arc<Mutex<Ctcp>>, bool) {
         let mut cache = lock_unpoisoned(&self.ctcp);
         cache.tick += 1;
         let tick = cache.tick;
         if let Some(slot) = cache.slots.iter_mut().find(|s| s.key == key) {
             slot.last_used = tick;
-            self.ctcp_resumes.fetch_add(1, Ordering::Relaxed);
-            session_obs().ctcp_resumes.inc();
+            self.bump(Counter::CtcpResumes, 1);
             return (slot.reducer.clone(), true);
         }
-        self.ctcp_builds.fetch_add(1, Ordering::Relaxed);
-        session_obs().ctcp_builds.inc();
+        self.bump(Counter::CtcpBuilds, 1);
         let fresh = Arc::new(Mutex::new(Ctcp::with_rules(
             &self.graph,
             key.k,
@@ -507,8 +514,7 @@ impl Session {
                 }
             }
             cache.slots.swap_remove(lru);
-            self.ctcp_evictions.fetch_add(1, Ordering::Relaxed);
-            session_obs().ctcp_evictions.inc();
+            self.bump(Counter::CtcpEvictions, 1);
         }
         cache.slots.push(CtcpSlot {
             key,
@@ -518,24 +524,21 @@ impl Session {
         (fresh, false)
     }
 
-    /// Every `(k, size)` pair the proven-optimal memo can vouch for, for
+    /// The optimum size per `k` the proven-optimal memo can vouch for, for
     /// pre-seeding a batch sweep's upper-bound caps. Sizes are
     /// preset-independent (every exact preset agrees on the optimum), so
-    /// duplicate k entries across presets collapse to one pair.
-    pub(crate) fn memoized_optimal_sizes(&self) -> Vec<(usize, usize)> {
-        let results = lock_unpoisoned(&self.results);
-        let mut sizes: HashMap<usize, usize> = HashMap::new();
-        for (key, slot) in results.map.iter() {
-            sizes.insert(key.k, slot.solution.vertices.len());
-        }
-        let mut out: Vec<(usize, usize)> = sizes.into_iter().collect();
-        out.sort_unstable();
-        out
+    /// duplicate k entries across presets collapse to one.
+    pub(crate) fn memoized_optimal_sizes(&self) -> BTreeMap<usize, usize> {
+        lock_unpoisoned(&self.results)
+            .map
+            .iter()
+            .map(|(key, slot)| (key.k, slot.solution.vertices.len()))
+            .collect()
     }
 
     /// Inserts a proven-optimal solution into the bounded result memo,
     /// evicting the least-recently-used entry at capacity.
-    pub(crate) fn memoize_result(&self, key: SolveKey, solution: Solution) {
+    fn memoize_result(&self, key: SolveKey, solution: Solution) {
         let mut memo = lock_unpoisoned(&self.results);
         if memo.cap == 0 {
             return;
@@ -549,8 +552,7 @@ impl Session {
         }
         if memo.map.len() >= memo.cap {
             evict_lru_memo(&mut memo);
-            self.memo_evictions.fetch_add(1, Ordering::Relaxed);
-            session_obs().memo_evictions.inc();
+            self.bump(Counter::MemoEvictions, 1);
         }
         memo.map.insert(
             key,
@@ -561,31 +563,6 @@ impl Session {
         );
     }
 
-    /// Counts one real (non-memo) search, on the session and its registry
-    /// twin.
-    pub(crate) fn note_real_solve(&self) {
-        self.solves.fetch_add(1, Ordering::Relaxed);
-        session_obs().solves.inc();
-    }
-
-    /// Folds one finished batch's shared-work counters into the session
-    /// atomics and their registry twins.
-    pub(crate) fn note_batch_shared_work(&self, shares: u64, seeds: u64, dedups: u64) {
-        self.batch_ctcp_shares.fetch_add(shares, Ordering::Relaxed);
-        self.batch_witness_seeds.fetch_add(seeds, Ordering::Relaxed);
-        self.batch_memo_dedups.fetch_add(dedups, Ordering::Relaxed);
-        let obs = session_obs();
-        obs.batch_ctcp_shares.add(shares);
-        obs.batch_witness_seeds.add(seeds);
-        obs.batch_memo_dedups.add(dedups);
-    }
-
-    /// The thread count a budget is allowed to spend (see
-    /// [`Budget::threads`]; clamped server-side).
-    pub(crate) fn clamped_threads(budget: &Budget) -> usize {
-        budget.threads.min(MAX_SOLVE_THREADS)
-    }
-
     /// Convenience wrapper: [`Session::run`] with `Solve { k }` and default
     /// budget/options (which cannot fail).
     pub fn solve(&self, k: usize) -> Outcome {
@@ -594,8 +571,8 @@ impl Session {
             .expect("default options are always valid")
     }
 
-    /// Runs one query to completion. See [`Session::run_with`] for the
-    /// observer-carrying variant.
+    /// Runs one query to completion. See [`Session::run_observed`] for the
+    /// variant that streams events and records phase spans.
     ///
     /// # Errors
     ///
@@ -608,34 +585,17 @@ impl Session {
         budget: &Budget,
         options: &Options,
     ) -> Result<Outcome, String> {
-        self.run_with(query, budget, options, None)
-    }
-
-    /// Runs one query, streaming [`Event`]s to `observer` while it executes.
-    /// Events are delivered synchronously from the solving thread(s); the
-    /// final [`Event::Done`] precedes the return.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Session::run`]: invalid options or query
-    /// parameters fail fast, exhausted budgets come back as a non-optimal
-    /// [`Outcome::status`].
-    pub fn run_with(
-        &self,
-        query: &Query,
-        budget: &Budget,
-        options: &Options,
-        observer: Option<Arc<dyn Observer>>,
-    ) -> Result<Outcome, String> {
-        self.run_observed(query, budget, options, observer, None)
+        self.run_observed(query, budget, options, None, None)
     }
 
     /// Runs one query with the full observability surface: optional
-    /// [`Event`] streaming plus an optional [`kdc_obs::Tracer`] whose ring
-    /// collects the solve's phase spans (peel / tighten / branch / ego) for
-    /// `--profile` tables, the daemon's `TRACE` verb and slow-query logs.
-    /// Solve telemetry (latency, per-preset nodes, per-bound costs) is
-    /// published to the global [`kdc_obs::registry`] regardless of `trace`.
+    /// [`Event`] streaming to `observer` (delivered synchronously from the
+    /// solving thread(s); the final [`Event::Done`] precedes the return)
+    /// plus an optional [`kdc_obs::Tracer`] whose ring collects the solve's
+    /// phase spans (peel / tighten / branch / ego) for `--profile` tables,
+    /// the daemon's `TRACE` verb and slow-query logs. Solve telemetry
+    /// (latency, per-preset nodes, per-bound costs) is published to the
+    /// global [`kdc_obs::registry`] regardless of `trace`.
     ///
     /// # Errors
     ///
@@ -651,30 +611,35 @@ impl Session {
         trace: Option<kdc_obs::Tracer>,
     ) -> Result<Outcome, String> {
         let outcome = match query {
-            Query::Solve { k } => self.run_solve(*k, budget, options, observer.clone(), trace),
+            Query::Solve { k } => {
+                self.solve_max(*k, budget, options, observer.clone(), trace, None)
+            }
             Query::Enumerate { k } => self.run_top_r(*k, usize::MAX, false, budget, options),
             Query::TopR { k, r, diversify } => self.run_top_r(*k, *r, *diversify, budget, options),
             Query::Count { k, min_size } => self.run_count(*k, *min_size, budget),
             // A batch folds into one Outcome for the uniform `run` surface:
             // one primary witness per sub-query (input order), the most
-            // severe status, summed search stats. Callers wanting the
+            // severe status, and the stats of each distinct search (memo
+            // answers and fan-out copies are skipped, as in
+            // `BatchOutcome::total_nodes`). Callers wanting the
             // per-sub-query outcomes and shared-work counters use
             // `Session::run_batch` directly.
             Query::Batch(subs) => {
                 let t0 = Instant::now();
                 let batch =
                     self.run_batch_observed(subs, budget, options, observer.clone(), trace)?;
-                let status = batch.status();
                 let mut stats = kdc::SearchStats::default();
-                let mut witnesses = Vec::with_capacity(batch.outcomes.len());
-                for outcome in &batch.outcomes {
+                for outcome in batch.outcomes.iter().filter(|o| !o.cache.result_memo_hit) {
                     stats.absorb(&outcome.stats);
-                    witnesses.push(outcome.best().unwrap_or_default().to_vec());
                 }
                 Ok(Outcome {
-                    witnesses,
+                    witnesses: batch
+                        .outcomes
+                        .iter()
+                        .map(|o| o.best().unwrap_or_default().to_vec())
+                        .collect(),
                     counts: None,
-                    status,
+                    status: batch.status(),
                     stats,
                     cache: CacheInfo::default(),
                     elapsed: t0.elapsed(),
@@ -689,49 +654,67 @@ impl Session {
         Ok(outcome)
     }
 
-    fn run_solve(
+    /// The one maximum solve, shared by [`Query::Solve`] and every batch
+    /// sub-solve. The memo lookup comes first; a miss installs the warm
+    /// artifacts (cached peeling, resident reducer for this `(k, rules)`
+    /// pair, best known witness as the seed so the resumed reducer state is
+    /// sound), searches, and records the witness, telemetry and memo entry.
+    /// A batch passes its [`Sweep`], whose `shared`/`seeded` flags record
+    /// which parts of it the search consumed (neither on a memo answer).
+    pub(crate) fn solve_max(
         &self,
         k: usize,
         budget: &Budget,
         options: &Options,
         observer: Option<Arc<dyn Observer>>,
         trace: Option<kdc_obs::Tracer>,
+        sweep: Option<&mut Sweep<'_>>,
     ) -> Result<Outcome, String> {
         let t0 = Instant::now();
         let memo_key = options.memo_preset().map(|preset| SolveKey {
             k,
             preset: preset.to_string(),
         });
-        if let Some(key) = &memo_key {
-            if let Some(solution) = self.cached_result(key) {
-                return Ok(Outcome {
-                    witnesses: vec![solution.vertices],
-                    counts: None,
-                    status: solution.status,
-                    stats: solution.stats,
-                    cache: CacheInfo {
-                        result_memo_hit: true,
-                        ..CacheInfo::default()
-                    },
-                    elapsed: t0.elapsed(),
-                });
-            }
+        if let Some(solution) = memo_key.as_ref().and_then(|key| self.cached_result(key)) {
+            return Ok(Outcome {
+                witnesses: vec![solution.vertices],
+                counts: None,
+                status: solution.status,
+                stats: solution.stats,
+                cache: CacheInfo {
+                    result_memo_hit: true,
+                    ..CacheInfo::default()
+                },
+                elapsed: t0.elapsed(),
+            });
         }
         let mut config = options.resolve()?;
         apply_budget(&mut config, budget);
         config.trace = trace;
-        // Warm artifact reuse: the heuristic/decomposition phase runs on the
-        // cached peeling, preprocessing resumes the resident CTCP reducer
-        // for this (k, rules) pair, and the best known witness seeds the
-        // lower bound so the resumed reducer state is sound.
         config.shared_peeling = Some(self.peeling());
         let (ctcp, ctcp_resumed) = self.ctcp_state(CtcpKey {
             k,
             core_rule: config.enable_rr5,
             truss_rule: config.enable_rr6,
         });
+        let mut seed = self.best_known(k);
+        if let Some(sweep) = sweep {
+            // The schedule never exceeds the seed installed below, so the
+            // solver's `resident reducer lb <= initial lb` invariant holds
+            // and the tightening only discards solutions the seed already
+            // dominates.
+            if !sweep.schedule.is_empty() {
+                lock_unpoisoned(&ctcp).tighten_batch(&sweep.schedule);
+                sweep.shared = true;
+            }
+            let known = seed.as_ref().map_or(0, Vec::len);
+            if let Some(w) = sweep.seed.filter(|w| w.len() > known) {
+                seed = Some(w.to_vec());
+                sweep.seeded = true;
+            }
+            config.known_ub = sweep.known_ub;
+        }
         config.shared_ctcp = Some(ctcp);
-        let seed = self.best_known(k);
         let seeded = seed.is_some();
         config.seed_solution = seed;
         if let Some(obs) = observer {
@@ -739,8 +722,7 @@ impl Session {
                 obs.event(&Event::from_solve(e));
             }));
         }
-        self.solves.fetch_add(1, Ordering::Relaxed);
-        session_obs().solves.inc();
+        self.bump(Counter::Solves, 1);
         let solution = if budget.threads == 1 {
             Solver::new(&self.graph, k, config).solve()
         } else {
@@ -748,11 +730,23 @@ impl Session {
             decompose::solve_decomposed(&self.graph, k, config, threads)
         };
         self.record_best_known(k, &solution.vertices);
-        flush_solve_metrics(
-            options.preset_name(),
-            &solution.stats,
-            t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-        );
+        if kdc_obs::enabled() {
+            let obs = session_obs();
+            obs.solve_ns
+                .observe(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+            kdc_obs::registry()
+                .register_counter_labeled(
+                    "kdc_session_nodes_total",
+                    "preset",
+                    options.preset_name(),
+                )
+                .add(solution.stats.nodes);
+            for (i, bc) in solution.stats.bound_costs.iter().enumerate() {
+                obs.bound_invocations[i].add(bc.invocations);
+                obs.bound_prunes[i].add(bc.prunes);
+                obs.bound_ns[i].add(bc.ns);
+            }
+        }
         if solution.is_optimal() {
             if let Some(key) = memo_key {
                 self.memoize_result(key, solution.clone());
@@ -847,7 +841,7 @@ fn evict_lru_memo(memo: &mut MemoCache) {
 /// Installs a budget's limits on a config. Budget values win when present;
 /// values an embedder set on an [`Options::custom`] configuration survive
 /// an unlimited (default) budget instead of being silently clobbered.
-pub(crate) fn apply_budget(config: &mut kdc::SolverConfig, budget: &Budget) {
+fn apply_budget(config: &mut kdc::SolverConfig, budget: &Budget) {
     if budget.time_limit.is_some() {
         config.time_limit = budget.time_limit;
     }
@@ -1084,11 +1078,12 @@ mod tests {
             sink.lock().unwrap().push(*e);
         });
         let outcome = session
-            .run_with(
+            .run_observed(
                 &Query::Solve { k: 2 },
                 &Budget::default(),
                 &Options::default(),
                 Some(observer),
+                None,
             )
             .unwrap();
         assert!(outcome.is_optimal());
@@ -1358,13 +1353,14 @@ mod tests {
     }
 
     #[test]
-    fn run_with_still_solves_without_a_tracer() {
+    fn run_observed_solves_without_observer_or_tracer() {
         let session = Session::new(named::figure2());
         let outcome = session
-            .run_with(
+            .run_observed(
                 &Query::Solve { k: 2 },
                 &Budget::default(),
                 &Options::default(),
+                None,
                 None,
             )
             .unwrap();

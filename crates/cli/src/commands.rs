@@ -161,7 +161,7 @@ pub fn batch(args: &[String]) -> Result<ExitCode, String> {
     let subs: Vec<kdc_api::SubQuery> = (k_lo..=k_hi)
         .map(|k| kdc_api::SubQuery { k, r, preset: None })
         .collect();
-    let batch = session.run_batch_with(&subs, &budget, &options, observer)?;
+    let batch = session.run_batch_observed(&subs, &budget, &options, observer, None)?;
 
     for (sub, outcome) in subs.iter().zip(&batch.outcomes) {
         match sub.r {

@@ -322,8 +322,6 @@ impl SolverConfig {
     /// initial solution.
     pub fn kdc_t() -> Self {
         SolverConfig {
-            branch_policy: BranchPolicy::MaxNonNeighbors,
-            enable_rr2: true,
             enable_rr3: false,
             enable_rr4: false,
             enable_rr5: false,
@@ -331,21 +329,8 @@ impl SolverConfig {
             enable_ub1: false,
             enable_ub2: false,
             enable_ub3: false,
-            enable_ub4: false,
-            enable_kdclub: false,
-            use_eq2_bound: false,
-            word_kernel: true,
             heuristic: InitialHeuristic::None,
-            matrix_limit: 16_384,
-            time_limit: None,
-            node_limit: None,
-            cancel: None,
-            shared_peeling: None,
-            shared_ctcp: None,
-            seed_solution: None,
-            known_ub: None,
-            on_event: None,
-            trace: None,
+            ..Self::kdc()
         }
     }
 
@@ -407,26 +392,9 @@ impl SolverConfig {
             enable_rr2: false,
             enable_rr3: false,
             enable_rr4: false,
-            enable_rr5: true,
-            enable_rr6: true,
             enable_ub1: false,
-            enable_ub2: true,
-            enable_ub3: true,
-            enable_ub4: false,
-            enable_kdclub: false,
-            use_eq2_bound: false,
-            word_kernel: true,
             heuristic: InitialHeuristic::Degen,
-            matrix_limit: 16_384,
-            time_limit: None,
-            node_limit: None,
-            cancel: None,
-            shared_peeling: None,
-            shared_ctcp: None,
-            seed_solution: None,
-            known_ub: None,
-            on_event: None,
-            trace: None,
+            ..Self::kdc()
         }
     }
 
@@ -438,26 +406,12 @@ impl SolverConfig {
             enable_rr2: false,
             enable_rr3: false,
             enable_rr4: false,
-            enable_rr5: true,
             enable_rr6: false,
             enable_ub1: false,
-            enable_ub2: true,
             enable_ub3: false,
-            enable_ub4: false,
-            enable_kdclub: false,
             use_eq2_bound: true,
-            word_kernel: true,
             heuristic: InitialHeuristic::Degen,
-            matrix_limit: 16_384,
-            time_limit: None,
-            node_limit: None,
-            cancel: None,
-            shared_peeling: None,
-            shared_ctcp: None,
-            seed_solution: None,
-            known_ub: None,
-            on_event: None,
-            trace: None,
+            ..Self::kdc()
         }
     }
 
@@ -578,6 +532,51 @@ mod tests {
         assert_eq!(degen.heuristic, InitialHeuristic::Degen);
         assert!(!degen.enable_rr6);
         assert!(degen.enable_ub1);
+
+        // The baseline presets override `kdc()`: pin every algorithm flag
+        // so a change to the flagship cannot silently leak into them.
+        // Flags: rr2 rr3 rr4 rr5 rr6 ub1 ub2 ub3 ub4 kdclub eq2 word_kernel.
+        let (t, f) = (true, false);
+        let cases = [
+            (
+                SolverConfig::kdc_t(),
+                BranchPolicy::MaxNonNeighbors,
+                [t, f, f, f, f, f, f, f, f, f, f, t],
+                InitialHeuristic::None,
+            ),
+            (
+                SolverConfig::kdbb_like(),
+                BranchPolicy::MaxDegreeAny,
+                [f, f, f, t, t, f, t, t, f, f, f, t],
+                InitialHeuristic::Degen,
+            ),
+            (
+                SolverConfig::madec_like(),
+                BranchPolicy::MaxDegreeAny,
+                [f, f, f, t, f, f, t, f, f, f, t, t],
+                InitialHeuristic::Degen,
+            ),
+        ];
+        for (c, policy, flags, heuristic) in cases {
+            let got = [
+                c.enable_rr2,
+                c.enable_rr3,
+                c.enable_rr4,
+                c.enable_rr5,
+                c.enable_rr6,
+                c.enable_ub1,
+                c.enable_ub2,
+                c.enable_ub3,
+                c.enable_ub4,
+                c.enable_kdclub,
+                c.use_eq2_bound,
+                c.word_kernel,
+            ];
+            assert_eq!(
+                (c.branch_policy, got, c.heuristic, c.matrix_limit),
+                (policy, flags, heuristic, 16_384)
+            );
+        }
     }
 
     #[test]

@@ -140,6 +140,7 @@ proptest! {
                 prop_assert_eq!(back, g.clone());
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

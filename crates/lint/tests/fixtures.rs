@@ -157,7 +157,7 @@ fn lexer_torture_is_clean_under_every_rule() {
 fn binary_fails_naming_rule_file_and_line() {
     // End-to-end through the real binary on a throwaway mini-tree, so the
     // CI contract (nonzero exit, rule+file+line in output) is pinned.
-    let dir = std::env::temp_dir().join(format!("kdc_lint_fixture_{}", std::process::id()));
+    let dir = kdc_graph::io::fresh_temp_dir("lint_fixture");
     let src_dir = dir.join("crates/service/src");
     std::fs::create_dir_all(&src_dir).expect("mkdir");
     std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").expect("write");

@@ -352,8 +352,7 @@ mod tests {
 
     #[test]
     fn reloading_unchanged_content_keeps_the_entry_and_its_state() {
-        let dir = std::env::temp_dir().join(format!("kdc_cache_reload_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = kdc_graph::io::fresh_temp_dir("cache_reload");
         let path = dir.join("fig2.clq");
         kdc_graph::io::write_dimacs(&named::figure2(), &path).unwrap();
         let path = path.to_string_lossy().into_owned();
@@ -375,6 +374,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &replaced), "changed file must reload");
         assert_eq!(replaced.graph().n(), 5);
         assert_eq!(cache.parses(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

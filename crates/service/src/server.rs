@@ -716,7 +716,7 @@ fn render_outcome(
         JobOutcome::Done(outcome) => outcome,
     };
     let line = match query {
-        Query::Solve { .. } | Query::Batch(_) => line
+        Query::Solve { .. } => line
             .field("status", status_token(outcome.status))
             .field("size", outcome.size())
             .field(
@@ -731,6 +731,7 @@ fn render_outcome(
             .field("ctcp_removed_e", outcome.stats.ctcp_edge_removals)
             .field("arena_reuses", outcome.stats.arena_reuses)
             .field("universe_rebuilds", outcome.stats.universe_rebuilds),
+        Query::Batch(_) => return Err("internal: batch job returned one outcome".to_string()),
         Query::Count { min_size, .. } => {
             let Some(counts) = &outcome.counts else {
                 return Err("internal: count job returned no counts".to_string());
@@ -900,23 +901,17 @@ fn stats(daemon: &Daemon, graph: Option<&str>) -> Result<String, String> {
             // Force the artifact before sampling counters, so the reported
             // peel_builds already reflects this request's build (if any).
             let degeneracy = entry.session().degeneracy();
-            let counters = entry.session().counters();
-            Ok(OkLine::new()
+            let line = OkLine::new()
                 .field("graph", name)
                 .field("n", entry.graph().n())
                 .field("m", entry.graph().m())
                 .field("degeneracy", degeneracy)
                 .field("parse_ms", entry.parse_time.as_millis())
-                .field("hits", entry.hits())
-                .field("peel_builds", counters.peel_builds)
-                .field("solves", counters.solves)
-                .field("result_hits", counters.result_hits)
-                .field("ctcp_builds", counters.ctcp_builds)
-                .field("ctcp_resumes", counters.ctcp_resumes)
-                .field("ctcp_evictions", counters.ctcp_evictions)
-                .field("memo_evictions", counters.memo_evictions)
-                .field("recovered_witnesses", counters.recovered_witnesses)
-                .field("recovered_memos", counters.recovered_memos)
+                .field("hits", entry.hits());
+            let counters = entry.session().counters().fields();
+            Ok(counters
+                .into_iter()
+                .fold(line, |line, (key, value)| line.field(key, value))
                 .render())
         }
         None => Ok(OkLine::new()
